@@ -87,7 +87,7 @@ def main() -> None:
         "req_walltime_s": int(dataset.jobs["req_walltime_s"][0]),
     }
     request = urllib.request.Request(
-        f"http://{server.address}/predict",
+        f"http://{server.address}/v1/predict",
         data=json.dumps({"model": "BDT", "job": job}).encode(),
         headers={"Content-Type": "application/json"},
     )

@@ -503,7 +503,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             lifecycle=args.lifecycle, lifecycle_dir=args.lifecycle_dir,
         ) as pool:
             print(f"serving on http://{pool.address} with {args.workers} "
-                  f"workers  (POST /predict, /predict/bulk; Ctrl-C stops)")
+                  f"workers  (POST /v1/predict, /v1/predict/bulk; Ctrl-C stops)")
             try:
                 while True:
                     time.sleep(3600)
@@ -528,7 +528,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 print(f"warning: warming {model} failed ({state}); "
                       "serving degraded")
         print(f"serving on http://{server.address}  "
-              f"(POST /predict, GET /models, GET /healthz; Ctrl-C stops)")
+              f"(POST /v1/predict, GET /v1/models, GET /v1/healthz; "
+              "Ctrl-C stops)")
         try:
             server.serve_forever()
         except KeyboardInterrupt:

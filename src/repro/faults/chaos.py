@@ -185,7 +185,7 @@ class ChaosReport:
 
 def _post(conn: http.client.HTTPConnection, body: bytes) -> tuple[int, dict]:
     conn.request(
-        "POST", "/predict", body=body,
+        "POST", "/v1/predict", body=body,
         headers={"Content-Type": "application/json"},
     )
     resp = conn.getresponse()
@@ -352,7 +352,7 @@ def run_soak(
     plan to narrow the blast radius. Same ``seed`` ⇒ same fault
     schedule, always.
     """
-    from repro.serve import create_server
+    from repro.serve import PredictRequest, create_server
 
     spec = scenario if scenario is not None else default_soak_scenario()
     plan = plan if plan is not None else soak_plan(seed=seed, rate=rate)
@@ -371,11 +371,11 @@ def run_soak(
     server = create_server(spec, cache_dir=cache_dir, warm=("BDT",))
     service = server.service
     users = sorted(service.registry.get(spec, "BDT").known_users)
-    baseline_records = [
+    baseline = PredictRequest(records=(
         {"user": users[0], "nodes": 2, "req_walltime_s": 3600},
         {"user": users[-1], "nodes": 4, "req_walltime_s": 7200},
-    ]
-    baseline = service.predict(baseline_records)
+    ))
+    expected = service.predict_request(baseline).predictions
     server.serve_in_background()
     address = (server.server_address[0], server.port)
 
@@ -408,8 +408,8 @@ def run_soak(
                 t.join()
         # Disarmed: the faults have cleared; the service must answer the
         # baseline request bit-identically again.
-        after = service.predict(baseline_records)
-        report.recovered_identical = bool(np.array_equal(baseline, after))
+        after = service.predict_request(baseline).predictions
+        report.recovered_identical = bool(np.array_equal(expected, after))
         report.n_degraded_service = service.n_degraded
         report.batcher_crashes = sum(
             b.crashes for b in service._batchers.values()
@@ -432,7 +432,7 @@ def run_soak(
     )
     report.churn_builds = churn_tally["builds"]
     report.churn_faults = churn_tally["faults"]
-    # Observability audit: the same run, as the /metrics counters saw it.
+    # Observability audit: the same run, as the /v1/metrics counters saw it.
     report.metrics = _audit_metrics(
         MetricsRegistry.delta(metrics_before, REGISTRY.snapshot()), injector
     )

@@ -127,7 +127,7 @@ class FaultInjector:
             return self._calls.get(point, 0)
 
     def snapshot(self) -> dict[str, Any]:
-        """Structured injector state for reports and ``/healthz``."""
+        """Structured injector state for reports and ``/v1/healthz``."""
         return {
             "seed": self.plan.seed,
             "points": list(self.plan.points),

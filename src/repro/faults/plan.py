@@ -50,7 +50,7 @@ INJECTION_POINTS: dict[str, str] = {
     "batcher.latency": "artificial sleep before the vectorized predict",
     "telemetry.drop": "one job's power aggregate is lost (NaN) "
                       "(the telemetry stage must gap-fill it)",
-    "http.malformed": "a chaos client sends a malformed /predict body "
+    "http.malformed": "a chaos client sends a malformed /v1/predict body "
                       "(the server must answer 400 and stay up)",
 }
 

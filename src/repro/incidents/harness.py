@@ -55,10 +55,10 @@ class ServedSystem:
 
     Parameters
     ----------
-    scenario / scenario_kwargs:
-        The scenario the service answers for (anything
-        :func:`repro.spec.as_scenario` accepts). Ignored when a prebuilt
-        ``service`` is passed.
+    scenario:
+        The :class:`~repro.spec.ScenarioSpec` (or system name) the
+        service answers for. Ignored when a prebuilt ``service`` is
+        passed.
     service:
         An existing :class:`~repro.serve.service.PredictionService` to
         serve instead of building one — the serve-suite tests use this
@@ -101,14 +101,12 @@ class ServedSystem:
         bind_retries: int = 5,
         strict_port: bool = False,
         metrics: MetricsRegistry = REGISTRY,
-        **scenario_kwargs: Any,
     ) -> None:
         if workers < 1:
             raise IncidentError("workers must be >= 1")
         if workers > 1 and service is not None:
             raise IncidentError("a prebuilt service cannot be forked")
         self.scenario = scenario
-        self.scenario_kwargs = scenario_kwargs
         self.workers = workers
         self.host = host
         self.requested_port = port
@@ -164,7 +162,6 @@ class ServedSystem:
             verbose=self.verbose,
             lifecycle=self.lifecycle,
             lifecycle_dir=self.lifecycle_dir,
-            **self.scenario_kwargs,
         )
 
     def _bind_attempts(self) -> Iterator[int]:
@@ -211,7 +208,6 @@ class ServedSystem:
                 warm=self.warm,
                 lifecycle=self.lifecycle,
                 lifecycle_dir=self.lifecycle_dir,
-                **self.scenario_kwargs,
             )
             try:
                 pool.start()
@@ -305,7 +301,7 @@ class ServedSystem:
         ``payload`` is JSON-encoded; ``raw_body`` sends bytes verbatim
         (malformed-payload tests). The response body is JSON-decoded
         when possible, raw bytes otherwise — or always raw bytes with
-        ``raw_response=True`` (NDJSON bulk replies, /metrics
+        ``raw_response=True`` (NDJSON bulk replies, /v1/metrics
         expositions: bodies whose shape, not parse, is under test).
         """
         body = raw_body

@@ -8,7 +8,7 @@ one zero-dependency observability layer:
 * :mod:`repro.obs.metrics` — a process-wide
   :class:`~repro.obs.metrics.MetricsRegistry` of counters, gauges, and
   fixed-bucket histograms with Prometheus text exposition (scraped at
-  ``GET /metrics`` on the prediction server);
+  ``GET /v1/metrics`` on the prediction server);
 * :mod:`repro.obs.tracing` — :func:`~repro.obs.tracing.trace_span`
   context-manager spans emitting JSONL records to a per-run trace file
   (``repro obs summary`` renders the span tree and critical path);

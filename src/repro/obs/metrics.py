@@ -5,7 +5,7 @@ created once at module import (``REGISTRY.counter(...)`` is idempotent:
 re-registering the same name returns the same object) and updated from
 any thread; every update is one short critical section on the metric's
 own lock, so instrumented hot paths pay a dict lookup and an add. When
-nobody scrapes ``/metrics`` that is the *entire* cost — rendering,
+nobody scrapes ``/v1/metrics`` that is the *entire* cost — rendering,
 quantile derivation, and snapshots all walk the data lazily on demand.
 
 Exposition follows the Prometheus text format (version 0.0.4): ``HELP``
@@ -449,7 +449,7 @@ class MetricsRegistry:
 
         The multi-process serve front-end uses this: each worker
         periodically dumps its process-local registry to a file, and the
-        worker answering ``GET /metrics`` merges every dump with
+        worker answering ``GET /v1/metrics`` merges every dump with
         :func:`render_merged` into one fleet-wide exposition. Counters
         and gauges export their series values; histograms export bucket
         counts plus exact sum/count. Label keys become lists (JSON has

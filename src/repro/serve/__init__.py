@@ -14,13 +14,11 @@ long-lived concurrent service rather than an offline batch evaluation:
   flattened into contiguous arrays with a vectorized level-order
   descent (bit-identical to the object tree, ~10× the throughput);
 * :class:`~repro.serve.api.PredictRequest` /
-  :class:`~repro.serve.api.PredictResponse` /
-  :func:`~repro.serve.api.as_predict_request` — the one canonical
-  predict surface every entry point funnels through;
+  :class:`~repro.serve.api.PredictResponse` — the one predict surface;
 * :class:`~repro.serve.service.PredictionService` — the embeddable
-  facade (validation, per-request latency accounting, bulk path,
-  stats); :meth:`~repro.serve.service.PredictionService.predict_request`
-  is the single entry point;
+  facade (validation, batched and bulk paths, degraded mode);
+  :meth:`~repro.serve.service.PredictionService.predict_request` is
+  its one predict method;
 * :class:`~repro.serve.lifecycle.ModelLifecycle` /
   :class:`~repro.serve.lifecycle.LineageJournal` /
   :class:`~repro.serve.lifecycle.DriftDetector` — drift-aware online
@@ -30,11 +28,10 @@ long-lived concurrent service rather than an offline batch evaluation:
   :func:`~repro.serve.http.create_server` — the stdlib HTTP/JSON
   front-end (``repro-power serve``; ``/v1/predict``,
   ``/v1/predict/bulk``, ``/v1/models``, ``/v1/healthz``,
-  ``/v1/feedback``, ``/v1/admin/*``, plus pre-``/v1`` deprecation
-  shims);
+  ``/v1/metrics``, ``/v1/feedback``, ``/v1/admin/*``);
 * :class:`~repro.serve.forking.ForkingServer` — the pre-forked
   multi-process front-end: N ``SO_REUSEPORT`` workers on one port,
-  fleet-aggregated ``/metrics``, supervised restarts, graceful
+  fleet-aggregated ``/v1/metrics``, supervised restarts, graceful
   shutdown (``repro-power serve --workers N``).
 
 See docs/SERVICE.md for endpoints, batching knobs, cache layout, and
@@ -46,17 +43,14 @@ CLI's bookkeeping commands never pays for numpy or the ML layer.
 """
 
 __all__ = [
-    "BatchStats",
     "DriftDetector",
     "FlatBDT",
     "FlatBDTServable",
     "ForkingServer",
-    "LatencyStats",
     "LineageJournal",
     "MeanPowerServable",
     "MicroBatcher",
     "ModelLifecycle",
-    "ModelRef",
     "ModelRegistry",
     "OnlineServable",
     "PredictRequest",
@@ -65,14 +59,12 @@ __all__ = [
     "PredictionService",
     "SERVE_MODELS",
     "WorkerConfig",
-    "as_predict_request",
     "create_server",
     "replay_feedback",
 ]
 
 # Lazy attribute map (PEP 562): name -> defining module.
 _LAZY_ATTRS = {
-    "BatchStats": "repro.serve.batching",
     "MicroBatcher": "repro.serve.batching",
     "FlatBDT": "repro.serve.flat_bdt",
     "FlatBDTServable": "repro.serve.flat_bdt",
@@ -84,13 +76,10 @@ _LAZY_ATTRS = {
     "SERVE_MODELS": "repro.serve.registry",
     "PredictRequest": "repro.serve.api",
     "PredictResponse": "repro.serve.api",
-    "as_predict_request": "repro.serve.api",
     "DriftDetector": "repro.serve.lifecycle",
     "LineageJournal": "repro.serve.lifecycle",
     "ModelLifecycle": "repro.serve.lifecycle",
-    "ModelRef": "repro.serve.lifecycle",
     "replay_feedback": "repro.serve.lifecycle",
-    "LatencyStats": "repro.serve.service",
     "PredictionService": "repro.serve.service",
     "PredictionServer": "repro.serve.http",
     "create_server": "repro.serve.http",

@@ -1,31 +1,20 @@
-"""The one documented predict surface: ``PredictRequest`` in, ``PredictResponse`` out.
+"""The one predict surface: ``PredictRequest`` in, ``PredictResponse`` out.
 
-Before PR 8 the serving stack had three parallel predict entry points
-(``Servable.predict_records``, ``MicroBatcher.predict/predict_many``,
-``PredictionService.predict*``) with three slightly different calling
-conventions. They all still exist — batching and vectorized inference
-are implementation layers — but every one of them now funnels through
-:meth:`repro.serve.service.PredictionService.predict_request`, which
-takes a :class:`PredictRequest` and returns a :class:`PredictResponse`.
-
-The shims mirror :func:`repro.spec.as_scenario`: existing call sites
-keep working unchanged.
-
-* :func:`as_predict_request` coerces a mapping, a bare record list, or
-  an existing request into a canonical frozen :class:`PredictRequest`;
-* :class:`PredictResponse` supports **mapping-style access**
-  (``response["predictions"]``, ``response["degraded"]``, …) so code
-  written against the old ``predict_detailed`` dicts reads it directly.
+:meth:`repro.serve.service.PredictionService.predict_request` is the only
+way to get a prediction from :mod:`repro.serve`. It takes one
+:class:`PredictRequest` and returns one :class:`PredictResponse`; the
+HTTP ``/v1/predict`` and ``/v1/predict/bulk`` handlers build the request
+from the wire payload and read the response's attributes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Any, Mapping
 
 from repro.errors import ServeError
 
-__all__ = ["PredictRequest", "PredictResponse", "as_predict_request"]
+__all__ = ["PredictRequest", "PredictResponse"]
 
 #: The execution modes a request may name. ``batched`` submits each
 #: record to the micro-batcher (single-job requests coalesce across
@@ -79,89 +68,13 @@ class PredictRequest:
         return len(self.records)
 
 
-def as_predict_request(request: Any = None, /, **kwargs: Any) -> PredictRequest:
-    """Coerce anything request-shaped into a :class:`PredictRequest`.
-
-    Accepts (mirroring :func:`repro.spec.as_scenario`):
-
-    * an existing :class:`PredictRequest` (returned as-is, or replaced
-      field-wise when ``kwargs`` are given);
-    * a mapping with a ``records`` (or legacy ``jobs``) key plus any
-      other request fields;
-    * a bare sequence of record mappings, with request fields in
-      ``kwargs`` (``as_predict_request(records, model="KNN")``).
-    """
-    if isinstance(request, PredictRequest):
-        if not kwargs:
-            return request
-        from dataclasses import replace
-
-        return replace(request, **kwargs)
-    if request is None:
-        payload = dict(kwargs)
-    elif isinstance(request, Mapping):
-        payload = {**request, **kwargs}
-    else:  # a bare sequence of records
-        payload = {"records": request, **kwargs}
-    if "jobs" in payload and "records" not in payload:
-        payload["records"] = payload.pop("jobs")
-    records = payload.pop("records", None)
-    if records is None:
-        raise ServeError("a predict request needs records")
-    unknown = sorted(
-        set(payload) - {"model", "scenario", "mode", "timeout", "version"}
-    )
-    if unknown:
-        raise ServeError(f"unknown predict-request fields {unknown}")
-    return PredictRequest(records=tuple(records), **payload)
-
-
 @dataclass(frozen=True)
 class PredictResponse:
-    """One prediction response: values plus serving provenance.
-
-    Field access works both attribute-style (``response.predictions``)
-    and mapping-style (``response["predictions"]``) — the latter keeps
-    every call site written against the old ``predict_detailed`` dict
-    shape working unchanged.
-    """
+    """One prediction response: values plus serving provenance."""
 
     predictions: Any  # np.ndarray, request order
     degraded: bool
     served_by: str  # model name that actually answered
     model: str  # model name that was requested
-    version: int = 1  # lineage version that answered (1 = base)
-    latency_s: float = 0.0
-    extras: Mapping[str, Any] = field(default_factory=dict)
-
-    def __getitem__(self, key: str) -> Any:
-        try:
-            return self.to_dict()[key]
-        except KeyError:
-            raise KeyError(key) from None
-
-    def __contains__(self, key: object) -> bool:
-        return key in self.to_dict()
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.to_dict())
-
-    def keys(self) -> Sequence[str]:
-        """Mapping-shim view of the response fields."""
-        return tuple(self.to_dict())
-
-    def get(self, key: str, default: Any = None) -> Any:
-        """Mapping-shim ``get``."""
-        return self.to_dict().get(key, default)
-
-    def to_dict(self) -> dict[str, Any]:
-        """The legacy ``predict_detailed`` dict shape (plus lineage)."""
-        return {
-            "predictions": self.predictions,
-            "degraded": self.degraded,
-            "served_by": self.served_by,
-            "model": self.model,
-            "version": self.version,
-            "latency_s": self.latency_s,
-            **dict(self.extras),
-        }
+    version: int  # lineage version that answered (1 = base)
+    dataset_digest: str  # dataset the answering scenario resolved to

@@ -41,13 +41,13 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import Future
-from typing import Any, Callable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from repro.errors import ServeError, ServiceClosed
 from repro.faults.injector import maybe_fire
 from repro.obs.metrics import REGISTRY
 
-__all__ = ["BatchStats", "MicroBatcher"]
+__all__ = ["MicroBatcher"]
 
 _SENTINEL = object()
 
@@ -77,35 +77,6 @@ _CRASHES = REGISTRY.counter(
     "Supervised batcher worker-loop restarts, per batcher.",
     labelnames=("batcher",),
 )
-
-
-class BatchStats:
-    """Thread-safe counters describing how well batching is working."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.n_requests = 0
-        self.n_batches = 0
-        self.max_batch_seen = 0
-
-    def record(self, batch_size: int) -> None:
-        """Fold one executed batch into the counters."""
-        with self._lock:
-            self.n_requests += batch_size
-            self.n_batches += 1
-            if batch_size > self.max_batch_seen:
-                self.max_batch_seen = batch_size
-
-    def snapshot(self) -> dict[str, Any]:
-        """Plain-JSON view (``/models`` endpoint, bench harness)."""
-        with self._lock:
-            mean = self.n_requests / self.n_batches if self.n_batches else 0.0
-            return {
-                "n_requests": self.n_requests,
-                "n_batches": self.n_batches,
-                "mean_batch": round(mean, 3),
-                "max_batch": self.max_batch_seen,
-            }
 
 
 class MicroBatcher:
@@ -144,7 +115,6 @@ class MicroBatcher:
         self.max_wait_s = max_wait_s
         self.max_queue = max_queue
         self.name = name
-        self.stats = BatchStats()
         self.crashes = 0  # supervised worker-loop restarts
         # One condition guards the deque AND the closed flag, so a
         # future can never slip into the queue after the shutdown drain
@@ -344,7 +314,6 @@ class MicroBatcher:
             self._inflight = []
             for (_, future), value in zip(batch, values):
                 future.set_result(value)
-            self.stats.record(len(batch))
             _BATCH_SIZE.observe(len(batch))
             _BATCHES.inc()
             _BATCH_REQUESTS.inc(len(batch))

@@ -27,7 +27,7 @@ the tree walk.
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -149,11 +149,6 @@ class FlatBDT:
 
     # -- inference -------------------------------------------------------
 
-    @property
-    def n_nodes(self) -> int:
-        """Total flattened node count (leaves included)."""
-        return len(self.value)
-
     def predict(self, X) -> np.ndarray:
         """Vectorized level-order descent; bit-identical to the object tree.
 
@@ -230,21 +225,7 @@ class FlatBDTServable:
         """The wrapped predictor's feature spec (drives request validation)."""
         return self.predictor.feature_spec
 
-    def describe(self) -> dict[str, Any]:
-        """Shape summary for /models-style introspection."""
-        return {
-            "model": self.model_name,
-            "n_train": self.n_train,
-            "n_nodes": self.flat.n_nodes,
-            "backend": "flat-array",
-        }
-
     def predict_records(self, records: Sequence[Mapping]) -> np.ndarray:
         """Encode request rows via the shared path, predict via arrays."""
         X = self.predictor.encode_records(records)
-        return self.flat.predict(X)
-
-    def predict_table(self, jobs) -> np.ndarray:
-        """Vectorized predictions for a whole job table (tests, tools)."""
-        X = self.predictor.encode_table(jobs)
         return self.flat.predict(X)

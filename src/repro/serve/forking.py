@@ -22,7 +22,7 @@ Shared-nothing by design, with three thin seams:
   produces the same model.
 * **metrics** — each worker periodically snapshots its process-local
   :data:`~repro.obs.metrics.REGISTRY` into the pool's ``metrics_dir``;
-  ``GET /metrics`` on *any* worker merges every snapshot with
+  ``GET /v1/metrics`` on *any* worker merges every snapshot with
   :func:`repro.obs.metrics.render_merged` into one fleet exposition.
 * **supervision** — the parent supervises workers the way the
   :class:`~repro.serve.batching.MicroBatcher` supervises its worker
@@ -101,7 +101,7 @@ class WorkerConfig:
 
 
 class _SnapshotWriter(threading.Thread):
-    """Daemon thread dumping the worker's registry for /metrics fan-in."""
+    """Daemon thread dumping the worker's registry for /v1/metrics fan-in."""
 
     def __init__(self, path: Path, interval_s: float) -> None:
         super().__init__(name="repro-metrics-snapshot", daemon=True)
@@ -202,9 +202,9 @@ class ForkingServer:
 
     Parameters
     ----------
-    scenario / scenario_kwargs:
-        Anything :func:`repro.spec.as_scenario` accepts; every worker
-        serves this default scenario.
+    scenario:
+        The :class:`~repro.spec.ScenarioSpec` (or system name) every
+        worker serves as its default scenario.
     workers:
         Worker process count. Each runs a complete single-process stack.
     host / port:
@@ -240,12 +240,11 @@ class ForkingServer:
         verbose: bool = False,
         lifecycle: bool = False,
         lifecycle_dir=None,
-        **scenario_kwargs: Any,
     ) -> None:
         if workers < 1:
             raise ServeError("workers must be >= 1")
         _require_reuseport()
-        self.scenario = as_scenario(scenario, **scenario_kwargs)
+        self.scenario = as_scenario(scenario)
         self.workers = workers
         self.host = host
         self._requested_port = port

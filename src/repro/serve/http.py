@@ -8,8 +8,8 @@ With ``reuse_port=True`` several such servers (one per worker process)
 bind the same port and the kernel shards accepted connections across
 them — see :mod:`repro.serve.forking`.
 
-The HTTP surface is **versioned under** ``/v1/`` (see docs/API.md and
-docs/SERVICE.md for payloads):
+The HTTP surface lives under ``/v1/`` (see docs/API.md and
+docs/SERVICE.md for payloads); :data:`ROUTES` is the whole table:
 
 * ``GET /v1/healthz`` — liveness + request counters + latency snapshot
   (+ ``worker`` id under the forked front-end);
@@ -32,13 +32,11 @@ docs/SERVICE.md for payloads):
   active version (journaled, with who/why + shadow evidence);
 * ``GET /v1/admin/history`` — the audit journal.
 
-The pre-``/v1`` paths (``/healthz``, ``/models``, ``/metrics``,
-``/predict``, ``/predict/bulk``) still answer — they are **deprecation
-shims**: same handlers, plus a ``Deprecation: true`` header, a ``Link:
-…; rel="successor-version"`` pointer, and a
-``repro_http_deprecated_requests_total`` count. Legacy ``/models``
-keeps its original service-stats payload; the lineage view is
-``/v1/models`` only.
+Any other GET or POST answers 404 with a JSON error. Every
+request body is read in full before routing, so an early answer never
+leaves unread bytes on a keep-alive connection; a body whose
+``Content-Length`` is missing, malformed or over 8 MiB cannot be
+skipped, so it gets a 400 and the connection is closed.
 """
 
 from __future__ import annotations
@@ -54,6 +52,7 @@ from urllib.parse import parse_qs
 from repro.errors import ReproError, ScenarioError, ServeError, ValidationError
 from repro.faults.injector import active_injector
 from repro.obs.metrics import REGISTRY, render_merged
+from repro.serve.api import PredictRequest
 from repro.serve.registry import ModelRegistry
 from repro.serve.service import PredictionService
 
@@ -63,34 +62,11 @@ _MAX_BODY_BYTES = 8 * 1024 * 1024
 #: Request errors that map to HTTP 400 (caller's fault, not the server's).
 _BAD_REQUEST_ERRORS = (ServeError, ScenarioError, ValidationError)
 
-#: The Prometheus text exposition content type (/metrics responses).
+#: The Prometheus text exposition content type (/v1/metrics responses).
 METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 #: The NDJSON content type the bulk endpoint speaks, both directions.
 NDJSON_CONTENT_TYPE = "application/x-ndjson"
-
-#: Legacy path → canonical ``/v1`` successor (the deprecation shims).
-_LEGACY_PATHS = {
-    "/healthz": "/v1/healthz",
-    "/models": "/v1/models",
-    "/metrics": "/v1/metrics",
-    "/predict": "/v1/predict",
-    "/predict/bulk": "/v1/predict/bulk",
-}
-
-_KNOWN_ENDPOINTS = frozenset(_LEGACY_PATHS) | frozenset(
-    {
-        "/v1/healthz",
-        "/v1/models",
-        "/v1/metrics",
-        "/v1/predict",
-        "/v1/predict/bulk",
-        "/v1/feedback",
-        "/v1/admin/promote",
-        "/v1/admin/rollback",
-        "/v1/admin/history",
-    }
-)
 
 _HTTP_REQUESTS = REGISTRY.counter(
     "repro_http_requests_total",
@@ -102,17 +78,12 @@ _HTTP_RESPONSES = REGISTRY.counter(
     "HTTP responses sent, by endpoint and status code.",
     labelnames=("endpoint", "status"),
 )
-_HTTP_DEPRECATED = REGISTRY.counter(
-    "repro_http_deprecated_requests_total",
-    "Requests answered through a pre-/v1 deprecation-shim path.",
-    labelnames=("endpoint",),
-)
 
 
 def _endpoint_label(path: str) -> str:
     """Bounded-cardinality endpoint label for the HTTP counters."""
     path = path.partition("?")[0]
-    return path if path in _KNOWN_ENDPOINTS else "other"
+    return path if path in _PATHS else "other"
 
 
 def _float_repr(value: float) -> str:
@@ -125,326 +96,291 @@ def _float_repr(value: float) -> str:
     return repr(float(value))
 
 
+def _json_object(body: bytes) -> Mapping[str, Any]:
+    """Decode a JSON request body that must be an object."""
+    if not body:
+        raise ServeError("request body required")
+    try:
+        payload = json.loads(body)
+    except ValueError as exc:  # bad JSON or bad UTF-8
+        raise ServeError(f"invalid JSON body: {exc}") from None
+    if not isinstance(payload, Mapping):
+        raise ServeError("request body must be a JSON object")
+    return payload
+
+
 class _Handler(BaseHTTPRequestHandler):
-    """Routes the versioned endpoints (and their shims) onto the service."""
+    """Reads each request's body, then dispatches through :data:`ROUTES`.
+
+    A route handler takes ``(query, body)`` and returns either a JSON
+    payload or a ``(body, content_type[, headers])`` tuple; it raises to
+    answer with an error, mapped in one place by :meth:`_dispatch`.
+    """
 
     server: "PredictionServer"
     protocol_version = "HTTP/1.1"
 
-    #: Set per request when the legacy path was used: the successor URL
-    #: advertised in the deprecation headers.
-    _successor: str | None = None
+    def do_GET(self) -> None:  # noqa: N802 (stdlib handler API)
+        self._dispatch()
 
-    # -- helpers ---------------------------------------------------------
-
-    def _route(self, path: str) -> str:
-        """Canonical ``/v1`` path for a request path; flags legacy use."""
-        self._successor = None
-        successor = _LEGACY_PATHS.get(path)
-        if successor is not None:
-            self._successor = successor
-            _HTTP_DEPRECATED.inc(endpoint=path)
-            return successor
-        return path
-
-    def _send_body(self, status: int, body: bytes, content_type: str) -> None:
-        _HTTP_RESPONSES.inc(endpoint=_endpoint_label(self.path), status=status)
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        if self._successor is not None:
-            self.send_header("Deprecation", "true")
-            self.send_header(
-                "Link", f'<{self._successor}>; rel="successor-version"'
-            )
-        if self.server.worker_id is not None:
-            self.send_header("X-Worker", str(self.server.worker_id))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_json(self, status: int, payload: Mapping[str, Any]) -> None:
-        self._send_body(
-            status, json.dumps(payload).encode("utf-8"), "application/json"
-        )
-
-    def _send_error_json(self, status: int, message: str) -> None:
-        self._send_json(status, {"error": message})
-
-    def _read_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length", 0))
-        if length <= 0:
-            raise ServeError("request body required")
-        if length > _MAX_BODY_BYTES:
-            raise ServeError(f"request body over {_MAX_BODY_BYTES} bytes")
-        return self.rfile.read(length)
-
-    def _read_json(self) -> Any:
-        try:
-            return json.loads(self._read_body())
-        except json.JSONDecodeError as exc:
-            raise ServeError(f"invalid JSON body: {exc}") from None
+    def do_POST(self) -> None:  # noqa: N802
+        self._dispatch()
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         if self.server.verbose:
             super().log_message(format, *args)
 
-    # -- routes ----------------------------------------------------------
+    # -- plumbing --------------------------------------------------------
 
-    def do_GET(self) -> None:  # noqa: N802 (stdlib handler API)
-        raw_path, _, query = self.path.partition("?")
-        _HTTP_REQUESTS.inc(endpoint=_endpoint_label(raw_path))
-        path = self._route(raw_path)
-        service = self.server.service
-        if path == "/v1/metrics":
-            self._send_body(
-                200, self.server.render_metrics().encode("utf-8"),
-                METRICS_CONTENT_TYPE,
-            )
-        elif path == "/v1/healthz":
-            snap = service.latency.snapshot()
-            payload = {
-                **service.health(),
-                "requests": snap["count"],
-                "latency": snap,
-            }
-            if self.server.worker_id is not None:
-                payload["worker"] = self.server.worker_id
-            injector = active_injector()
-            if injector is not None:
-                payload["faults"] = injector.snapshot()
-            self._send_json(200, payload)
-        elif path == "/v1/models":
-            # The legacy path keeps its original service-stats payload;
-            # the canonical path answers with the lineage view.
-            if raw_path == "/models":
-                payload = service.stats()
-            else:
-                payload = service.lineage_stats()
-            if self.server.worker_id is not None:
-                payload["worker"] = self.server.worker_id
-            self._send_json(200, payload)
-        elif path == "/v1/admin/history":
-            lifecycle = service.lifecycle
-            if lifecycle is None:
-                self._send_error_json(400, "lifecycle disabled on this server")
-                return
-            params = parse_qs(query)
-            model = params.get("model", [None])[0]
-            try:
-                events = lifecycle.history(model)
-            except _BAD_REQUEST_ERRORS as exc:
-                self._send_error_json(400, str(exc))
-                return
-            self._send_json(
-                200,
-                {
-                    "events": events,
-                    "journal": str(lifecycle.journal.path),
-                    "damaged_lines": lifecycle.journal.damaged_lines,
-                },
-            )
+    def _dispatch(self) -> None:
+        path, _, query = self.path.partition("?")
+        _HTTP_REQUESTS.inc(endpoint=_endpoint_label(path))
+        self._t0 = perf_counter()
+        try:
+            body = self._read_body()
+        except ServeError as exc:
+            # The body's extent is unknown, so the connection cannot be
+            # reused: answer and close.
+            self._send_json(400, {"error": str(exc)}, {"Connection": "close"})
+            return
+        route = ROUTES.get((self.command, path))
+        if route is None:
+            self._send_json(404, {"error": f"no such endpoint {self.path!r}"})
+            return
+        try:
+            result = route(self, query, body)
+        except _BAD_REQUEST_ERRORS as exc:
+            self._send_json(400, {"error": str(exc)})
+        except ReproError as exc:
+            self._send_json(500, {"error": str(exc)})
+        except Exception as exc:  # a handler thread must never die silently
+            self._send_json(500, {"error": f"internal error: {exc}"})
         else:
-            self._send_error_json(404, f"no such endpoint {self.path!r}")
-
-    def do_POST(self) -> None:  # noqa: N802
-        raw_path, _, query = self.path.partition("?")
-        _HTTP_REQUESTS.inc(endpoint=_endpoint_label(raw_path))
-        path = self._route(raw_path)
-        if path == "/v1/predict/bulk":
-            self._post_bulk(query)
-            return
-        if path == "/v1/feedback":
-            self._post_feedback()
-            return
-        if path in ("/v1/admin/promote", "/v1/admin/rollback"):
-            self._post_admin(path.rsplit("/", 1)[1])
-            return
-        if path != "/v1/predict":
-            self._send_error_json(404, f"no such endpoint {self.path!r}")
-            return
-        t0 = perf_counter()
-        try:
-            payload = self._read_json()
-            if not isinstance(payload, Mapping):
-                raise ServeError("request body must be a JSON object")
-            jobs = payload.get("jobs")
-            if jobs is None:
-                job = payload.get("job")
-                jobs = [job] if job is not None else None
-            if not jobs or not isinstance(jobs, list):
-                raise ServeError('request needs "jobs": [...] or "job": {...}')
-            model = payload.get("model", "BDT")
-            scenario = payload.get("scenario")
-            version = payload.get("version")
-            detail = self.server.service.predict_request(
-                jobs, model=model, scenario=scenario, version=version
-            )
-        except _BAD_REQUEST_ERRORS as exc:
-            self._send_error_json(400, str(exc))
-            return
-        except ReproError as exc:
-            self._send_error_json(500, str(exc))
-            return
-        except Exception as exc:  # a handler thread must never die silently
-            self._send_error_json(500, f"internal error: {exc}")
-            return
-        spec = self.server.service.resolve_scenario(scenario)
-        self._send_json(
-            200,
-            {
-                "model": model,
-                "served_by": detail.served_by,
-                "version": detail.version,
-                "degraded": detail.degraded,
-                "dataset_digest": spec.dataset_digest,
-                # repr-based JSON floats round-trip exactly: the decoded
-                # predictions are bit-identical to the in-process ones.
-                "predictions": [float(p) for p in detail.predictions],
-                "n": len(detail.predictions),
-                "latency_ms": round((perf_counter() - t0) * 1e3, 3),
-            },
-        )
-
-    def _post_feedback(self) -> None:
-        """``POST /v1/feedback``: observed outcomes into the lifecycle."""
-        try:
-            payload = self._read_json()
-            if not isinstance(payload, Mapping):
-                raise ServeError("request body must be a JSON object")
-            jobs = payload.get("jobs", payload.get("records"))
-            if not jobs or not isinstance(jobs, list):
-                raise ServeError('feedback needs "jobs": [...]')
-            outcome = self.server.service.feedback(jobs)
-        except _BAD_REQUEST_ERRORS as exc:
-            self._send_error_json(400, str(exc))
-            return
-        except ReproError as exc:
-            self._send_error_json(500, str(exc))
-            return
-        except Exception as exc:  # a handler thread must never die silently
-            self._send_error_json(500, f"internal error: {exc}")
-            return
-        self._send_json(200, outcome)
-
-    def _post_admin(self, verb: str) -> None:
-        """``POST /v1/admin/promote|rollback``: journaled version flips."""
-        lifecycle = self.server.service.lifecycle
-        if lifecycle is None:
-            self._send_error_json(400, "lifecycle disabled on this server")
-            return
-        try:
-            payload = self._read_json()
-            if not isinstance(payload, Mapping):
-                raise ServeError("request body must be a JSON object")
-            model = payload.get("model")
-            if not isinstance(model, str):
-                raise ServeError('admin request needs "model"')
-            who = str(payload.get("who", "http"))
-            why = str(payload.get("why", ""))
-            if verb == "promote":
-                version = payload.get("version")
-                if not isinstance(version, int):
-                    raise ServeError('promote needs an integer "version"')
-                event = lifecycle.promote(model, version, who=who, why=why)
+            if isinstance(result, tuple):
+                self._send_body(200, *result)
             else:
-                to_version = payload.get("to_version")
-                if to_version is not None and not isinstance(to_version, int):
-                    raise ServeError('"to_version" must be an integer')
-                event = lifecycle.rollback(model, to_version, who=who, why=why)
-        except _BAD_REQUEST_ERRORS as exc:
-            self._send_error_json(400, str(exc))
-            return
-        except ReproError as exc:
-            self._send_error_json(500, str(exc))
-            return
-        except Exception as exc:  # a handler thread must never die silently
-            self._send_error_json(500, f"internal error: {exc}")
-            return
-        self._send_json(200, {"event": event, "active": lifecycle.active_version(model)})
+                self._send_json(200, result)
 
-    def _post_bulk(self, query: str) -> None:
-        """The NDJSON bulk mode: one job per body line, one float per
-        response line.
-
-        Model and scenario overlay travel in the query string
-        (``/predict/bulk?model=BDT``) so the body stays a pure stream of
-        job objects. The body is split once and each line is decoded
-        straight from its bytes — no intermediate envelope dict, no
-        per-record response objects — and the whole batch is answered by
-        one vectorized :meth:`PredictionService.predict_bulk` call.
-        Response lines are ``repr``-formatted floats (valid JSON), so
-        decoded predictions are bit-identical to the in-process ones;
-        batch-level metadata rides in ``X-Model`` / ``X-Served-By`` /
-        ``X-Degraded`` headers.
-        """
+    def _read_body(self) -> bytes:
+        """The whole request body (empty for a GET without one)."""
+        raw = self.headers.get("Content-Length")
+        if raw is None:
+            if self.command == "GET":
+                return b""
+            raise ServeError("Content-Length required")
         try:
-            params = parse_qs(query)
-            model = params.get("model", ["BDT"])[0]
-            scenario = None
-            if "scenario" in params:
-                scenario = json.loads(params["scenario"][0])
-                if not isinstance(scenario, Mapping):
-                    raise ServeError("scenario query param must be a JSON object")
-            version = None
-            if "version" in params:
-                try:
-                    version = int(params["version"][0])
-                except ValueError:
-                    raise ServeError(
-                        "version query param must be an integer"
-                    ) from None
-            raw = self._read_body()
-            records: list[Any] = []
-            for lineno, line in enumerate(raw.split(b"\n"), start=1):
-                if not line or line.isspace():
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ServeError(
-                        f"invalid NDJSON on line {lineno}: {exc}"
-                    ) from None
-                if not isinstance(record, Mapping):
-                    raise ServeError(
-                        f"line {lineno} must be a JSON job object"
-                    )
-                records.append(record)
-            if not records:
-                raise ServeError("bulk request body has no job lines")
-            detail = self.server.service.predict_request(
-                records, model=model, scenario=scenario, mode="bulk",
-                version=version,
+            length = int(raw)
+        except ValueError:
+            raise ServeError(f"invalid Content-Length {raw!r}") from None
+        if not 0 <= length <= _MAX_BODY_BYTES:
+            raise ServeError(
+                f"Content-Length {length} outside 0..{_MAX_BODY_BYTES}"
             )
-        except _BAD_REQUEST_ERRORS as exc:
-            self._send_error_json(400, str(exc))
-            return
-        except ReproError as exc:
-            self._send_error_json(500, str(exc))
-            return
-        except Exception as exc:  # a handler thread must never die silently
-            self._send_error_json(500, f"internal error: {exc}")
-            return
-        body = "\n".join(
-            _float_repr(p) for p in detail.predictions
-        ).encode("ascii") + b"\n"
-        _HTTP_RESPONSES.inc(endpoint=_endpoint_label(self.path), status=200)
-        self.send_response(200)
-        self.send_header("Content-Type", NDJSON_CONTENT_TYPE)
+        return self.rfile.read(length)
+
+    def _send_body(
+        self,
+        status: int,
+        body: bytes,
+        content_type: str,
+        headers: Mapping[str, str] | None = None,
+    ) -> None:
+        _HTTP_RESPONSES.inc(endpoint=_endpoint_label(self.path), status=status)
+        self.send_response(status)
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
-        self.send_header("X-Model", model)
-        self.send_header("X-Served-By", detail.served_by)
-        self.send_header("X-Version", str(detail.version))
-        self.send_header("X-Degraded", "1" if detail.degraded else "0")
-        self.send_header("X-N", str(len(detail.predictions)))
-        if self._successor is not None:
-            self.send_header("Deprecation", "true")
-            self.send_header(
-                "Link", f'<{self._successor}>; rel="successor-version"'
-            )
+        for name, value in (headers or {}).items():
+            self.send_header(name, value)
         if self.server.worker_id is not None:
             self.send_header("X-Worker", str(self.server.worker_id))
         self.end_headers()
         self.wfile.write(body)
+
+    def _send_json(
+        self,
+        status: int,
+        payload: Mapping[str, Any],
+        headers: Mapping[str, str] | None = None,
+    ) -> None:
+        self._send_body(
+            status, json.dumps(payload).encode("utf-8"), "application/json",
+            headers,
+        )
+
+    def _with_worker(self, payload: dict[str, Any]) -> dict[str, Any]:
+        if self.server.worker_id is not None:
+            payload["worker"] = self.server.worker_id
+        return payload
+
+    def _lifecycle(self):
+        lifecycle = self.server.service.lifecycle
+        if lifecycle is None:
+            raise ServeError("lifecycle disabled on this server")
+        return lifecycle
+
+    # -- routes ----------------------------------------------------------
+
+    def _get_healthz(self, query: str, body: bytes) -> dict[str, Any]:
+        payload = self.server.service.health()
+        injector = active_injector()
+        if injector is not None:
+            payload["faults"] = injector.snapshot()
+        return self._with_worker(payload)
+
+    def _get_models(self, query: str, body: bytes) -> dict[str, Any]:
+        return self._with_worker(self.server.service.lineage_stats())
+
+    def _get_metrics(self, query: str, body: bytes):
+        exposition = self.server.render_metrics().encode("utf-8")
+        return exposition, METRICS_CONTENT_TYPE
+
+    def _get_history(self, query: str, body: bytes) -> dict[str, Any]:
+        lifecycle = self._lifecycle()
+        model = parse_qs(query).get("model", [None])[0]
+        return {
+            "events": lifecycle.history(model),
+            "journal": str(lifecycle.journal.path),
+            "damaged_lines": lifecycle.journal.damaged_lines,
+        }
+
+    def _post_predict(self, query: str, body: bytes) -> dict[str, Any]:
+        payload = _json_object(body)
+        jobs = payload.get("jobs")
+        if jobs is None:
+            job = payload.get("job")
+            jobs = [job] if job is not None else None
+        if not jobs or not isinstance(jobs, list):
+            raise ServeError('request needs "jobs": [...] or "job": {...}')
+        response = self.server.service.predict_request(
+            PredictRequest(
+                records=jobs,
+                model=payload.get("model", "BDT"),
+                scenario=payload.get("scenario"),
+                version=payload.get("version"),
+            )
+        )
+        return {
+            "model": response.model,
+            "served_by": response.served_by,
+            "version": response.version,
+            "degraded": response.degraded,
+            "dataset_digest": response.dataset_digest,
+            # repr-based JSON floats round-trip exactly: the decoded
+            # predictions are bit-identical to the in-process ones.
+            "predictions": [float(p) for p in response.predictions],
+            "n": len(response.predictions),
+            "latency_ms": round((perf_counter() - self._t0) * 1e3, 3),
+        }
+
+    def _post_bulk(self, query: str, body: bytes):
+        """The NDJSON bulk mode: one job per body line, one float per
+        response line.
+
+        Model and scenario overlay travel in the query string
+        (``/v1/predict/bulk?model=BDT``) so the body stays a pure stream
+        of job objects. The body is split once and each line is decoded
+        straight from its bytes — no intermediate envelope dict, no
+        per-record response objects — and the whole batch is answered by
+        one vectorized ``bulk``-mode predict. Response lines are
+        ``repr``-formatted floats (valid JSON), so decoded predictions
+        are bit-identical to the in-process ones; batch-level metadata
+        rides in ``X-Model`` / ``X-Served-By`` / ``X-Version`` /
+        ``X-Degraded`` / ``X-N`` headers.
+        """
+        params = parse_qs(query)
+        model = params.get("model", ["BDT"])[0]
+        scenario = None
+        if "scenario" in params:
+            try:
+                scenario = json.loads(params["scenario"][0])
+            except ValueError as exc:
+                raise ServeError(
+                    f"scenario query param is not JSON: {exc}"
+                ) from None
+            if not isinstance(scenario, Mapping):
+                raise ServeError("scenario query param must be a JSON object")
+        version = None
+        if "version" in params:
+            try:
+                version = int(params["version"][0])
+            except ValueError:
+                raise ServeError(
+                    "version query param must be an integer"
+                ) from None
+        records: list[Any] = []
+        for lineno, line in enumerate(body.split(b"\n"), start=1):
+            if not line or line.isspace():
+                continue
+            try:
+                record = json.loads(line)
+            except ValueError as exc:
+                raise ServeError(
+                    f"invalid NDJSON on line {lineno}: {exc}"
+                ) from None
+            if not isinstance(record, Mapping):
+                raise ServeError(f"line {lineno} must be a JSON job object")
+            records.append(record)
+        if not records:
+            raise ServeError("bulk request body has no job lines")
+        response = self.server.service.predict_request(
+            PredictRequest(
+                records=records, model=model, scenario=scenario,
+                mode="bulk", version=version,
+            )
+        )
+        lines = "\n".join(_float_repr(p) for p in response.predictions)
+        return (lines + "\n").encode("ascii"), NDJSON_CONTENT_TYPE, {
+            "X-Model": model,
+            "X-Served-By": response.served_by,
+            "X-Version": str(response.version),
+            "X-Degraded": "1" if response.degraded else "0",
+            "X-N": str(len(response.predictions)),
+        }
+
+    def _post_feedback(self, query: str, body: bytes) -> dict[str, Any]:
+        """``POST /v1/feedback``: observed outcomes into the lifecycle."""
+        jobs = _json_object(body).get("jobs")
+        if not jobs or not isinstance(jobs, list):
+            raise ServeError('feedback needs "jobs": [...]')
+        return self.server.service.feedback(jobs)
+
+    def _post_admin(self, query: str, body: bytes) -> dict[str, Any]:
+        """``POST /v1/admin/promote|rollback``: journaled version flips."""
+        lifecycle = self._lifecycle()
+        payload = _json_object(body)
+        model = payload.get("model")
+        if not isinstance(model, str):
+            raise ServeError('admin request needs "model"')
+        who = str(payload.get("who", "http"))
+        why = str(payload.get("why", ""))
+        if self.path.partition("?")[0].endswith("/promote"):
+            version = payload.get("version")
+            if not isinstance(version, int):
+                raise ServeError('promote needs an integer "version"')
+            event = lifecycle.promote(model, version, who=who, why=why)
+        else:
+            to_version = payload.get("to_version")
+            if to_version is not None and not isinstance(to_version, int):
+                raise ServeError('"to_version" must be an integer')
+            event = lifecycle.rollback(model, to_version, who=who, why=why)
+        return {"event": event, "active": lifecycle.active_version(model)}
+
+
+#: Every served (method, path) pair and its handler; any other GET or POST
+#: is a 404.
+ROUTES = {
+    ("GET", "/v1/healthz"): _Handler._get_healthz,
+    ("GET", "/v1/models"): _Handler._get_models,
+    ("GET", "/v1/metrics"): _Handler._get_metrics,
+    ("GET", "/v1/admin/history"): _Handler._get_history,
+    ("POST", "/v1/predict"): _Handler._post_predict,
+    ("POST", "/v1/predict/bulk"): _Handler._post_bulk,
+    ("POST", "/v1/feedback"): _Handler._post_feedback,
+    ("POST", "/v1/admin/promote"): _Handler._post_admin,
+    ("POST", "/v1/admin/rollback"): _Handler._post_admin,
+}
+
+_PATHS = frozenset(path for _method, path in ROUTES)
 
 
 class PredictionServer(ThreadingHTTPServer):
@@ -457,10 +393,10 @@ class PredictionServer(ThreadingHTTPServer):
     Multi-process mode (:mod:`repro.serve.forking`) passes three extra
     knobs: ``reuse_port`` makes the bind set ``SO_REUSEPORT`` so sibling
     worker processes share one port and the kernel load-balances
-    accepted connections; ``worker_id`` tags ``/healthz`` and
-    ``/models`` responses; ``metrics_dir`` points at the directory of
+    accepted connections; ``worker_id`` tags ``/v1/healthz`` and
+    ``/v1/models`` responses; ``metrics_dir`` points at the directory of
     peer metric snapshots that :meth:`render_metrics` merges into a
-    fleet-wide ``/metrics`` exposition.
+    fleet-wide ``/v1/metrics`` exposition.
     """
 
     daemon_threads = True
@@ -485,7 +421,7 @@ class PredictionServer(ThreadingHTTPServer):
         super().__init__((host, port), _Handler)
 
     def render_metrics(self) -> str:
-        """The ``/metrics`` exposition body.
+        """The ``/v1/metrics`` exposition body.
 
         Process-local registry by default; when ``metrics_dir`` is set,
         the live local registry is merged with every peer worker's
@@ -557,14 +493,11 @@ def create_server(
     verbose: bool = False,
     lifecycle: bool = False,
     lifecycle_dir=None,
-    **scenario_kwargs,
 ) -> PredictionServer:
     """Build a ready-to-serve :class:`PredictionServer` for one scenario.
 
-    ``scenario``/``scenario_kwargs`` go through the
-    :func:`repro.spec.as_scenario` shim, so both a
-    :class:`~repro.spec.ScenarioSpec` and the legacy keyword style work.
-    ``warm`` names models to train/load before the socket starts
+    ``scenario`` is a :class:`~repro.spec.ScenarioSpec` (or a system
+    name). ``warm`` names models to train/load before the socket starts
     answering (e.g. ``("BDT",)``). ``lifecycle=True`` (or a
     ``lifecycle_dir``) attaches a
     :class:`~repro.serve.lifecycle.ModelLifecycle`, enabling
@@ -575,7 +508,7 @@ def create_server(
     """
     from repro.spec import as_scenario
 
-    spec = as_scenario(scenario, **scenario_kwargs)
+    spec = as_scenario(scenario)
     if registry is None:
         registry = ModelRegistry(cache_dir=cache_dir)
     manager = None

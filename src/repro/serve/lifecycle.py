@@ -45,7 +45,6 @@ import json
 import os
 import threading
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -57,7 +56,6 @@ from repro.serve.registry import SERVE_MODELS, ModelRegistry, OnlineServable
 from repro.spec import as_scenario
 
 __all__ = [
-    "ModelRef",
     "LineageJournal",
     "DriftDetector",
     "ModelLifecycle",
@@ -83,39 +81,6 @@ FEATURE_BUCKETS: tuple[float, ...] = (1.0, 4.0, 16.0, 64.0, 256.0, 1e3, 1e4, 1e5
 def default_lifecycle_dir(cache_root: "Path | str") -> Path:
     """The journal/feedback directory inside an artifact-cache root."""
     return Path(cache_root) / "lifecycle"
-
-
-@dataclass(frozen=True)
-class ModelRef:
-    """Lineage address of one served model: scenario × model × version.
-
-    This is the unit the journal, the registry, and the service agree
-    on: ``scenario_digest`` is the pipeline dataset digest (the same
-    content key the registry stores under), ``version`` the immutable
-    lineage version. ``version=1`` is the base artifact trained from
-    the frozen scenario dataset.
-    """
-
-    scenario_digest: str
-    model: str
-    version: int = 1
-
-    def __post_init__(self) -> None:
-        if self.version < 1:
-            raise ServeError(f"model version must be >= 1, got {self.version}")
-
-    @property
-    def label(self) -> str:
-        """Human-readable ``model@v<version> (digest…)`` form."""
-        return f"{self.model}@v{self.version} ({self.scenario_digest[:12]}…)"
-
-    def to_dict(self) -> dict[str, Any]:
-        """Plain-JSON form (journal events, ``/v1/models``)."""
-        return {
-            "scenario_digest": self.scenario_digest,
-            "model": self.model,
-            "version": self.version,
-        }
 
 
 class LineageJournal:
@@ -587,12 +552,6 @@ class ModelLifecycle:
     def active_version(self, model: str) -> int:
         """The journal's active pointer for ``model`` (default 1)."""
         return self.journal.active_version(model)
-
-    def active_ref(self, model: str) -> ModelRef:
-        """The :class:`ModelRef` currently serving live traffic."""
-        return ModelRef(
-            self.scenario.dataset_digest, model, self.active_version(model)
-        )
 
     def candidate_version(self, model: str) -> int | None:
         """The registered version currently shadow-evaluating, if any."""

@@ -246,7 +246,7 @@ class ModelRegistry:
     @staticmethod
     def check_model_name(model: str) -> str:
         """Validate and return ``model``; raises ServeError when unknown."""
-        if model not in _MODEL_VERSIONS:
+        if not isinstance(model, str) or model not in _MODEL_VERSIONS:
             raise ServeError(
                 f"unknown model {model!r}; known: {list(SERVE_MODELS)}"
             )
@@ -255,7 +255,12 @@ class ModelRegistry:
     @staticmethod
     def check_version(version: int) -> int:
         """Validate and return a lineage ``version`` (must be >= 1)."""
-        version = int(version)
+        try:
+            version = int(version)
+        except (TypeError, ValueError):
+            raise ServeError(
+                f"model version must be an integer, got {version!r}"
+            ) from None
         if version < 1:
             raise ServeError(f"model version must be >= 1, got {version}")
         return version
@@ -564,7 +569,7 @@ class ModelRegistry:
     # -- inspection ------------------------------------------------------
 
     def loaded(self) -> list[dict[str, Any]]:
-        """Descriptors of every warm model (``/models`` endpoint)."""
+        """Descriptors of every warm model (``/v1/models`` endpoint)."""
         with self._lock:
             return [
                 {

@@ -1,26 +1,23 @@
-"""The embeddable prediction service: registry + micro-batchers + stats.
+"""The embeddable prediction service: registry + micro-batchers.
 
 :class:`PredictionService` is the piece both the HTTP front-end and
 in-process callers (tests, the bench harness, notebooks) drive. It owns
 
 * a :class:`~repro.serve.registry.ModelRegistry` (shared, or private),
 * one :class:`~repro.serve.batching.MicroBatcher` per served
-  (dataset digest, model, version) triple, created lazily,
+  (dataset digest, model, version) triple, created lazily, and
 * optionally a :class:`~repro.serve.lifecycle.ModelLifecycle` — when
   attached, requests resolve the **active** lineage version through the
   journal, live traffic is **shadow-mirrored** to a registered candidate
   off the hot path, and :meth:`feedback` accepts observed outcomes
-  (docs/LIFECYCLE.md), and
-* :class:`LatencyStats` — structured per-request latency accounting
-  (count, exact mean, and bucket-derived p50/p99 — see
-  :class:`repro.obs.metrics.Histogram`).
+  (docs/LIFECYCLE.md).
 
-Every public predict entry point funnels through
-:meth:`PredictionService.predict_request` — one
-:class:`~repro.serve.api.PredictRequest` in, one
-:class:`~repro.serve.api.PredictResponse` out; ``predict`` /
-``predict_detailed`` / ``predict_bulk`` are thin coercion shims kept for
-existing call sites.
+:meth:`PredictionService.predict_request` is the one predict method:
+one :class:`~repro.serve.api.PredictRequest` in, one
+:class:`~repro.serve.api.PredictResponse` out. Request counts, outcomes
+and latency live in :data:`repro.obs.metrics.REGISTRY` (the
+``repro_request*`` families), which :meth:`PredictionService.health`
+reads back for ``/v1/healthz``.
 
 Requests are validated *before* they enter a batch: an unknown user (for
 the estimator models, whose category encoders are frozen at fit time)
@@ -38,14 +35,14 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from repro.errors import ReproError, ServeError, ServiceClosed
-from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS, REGISTRY, Histogram
+from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS, REGISTRY
 from repro.obs.tracing import trace_span
-from repro.serve.api import PredictRequest, PredictResponse, as_predict_request
+from repro.serve.api import PredictRequest, PredictResponse
 from repro.serve.batching import MicroBatcher
 from repro.serve.registry import ModelRegistry
 from repro.spec import ScenarioSpec, as_scenario
 
-__all__ = ["LatencyStats", "PredictionService"]
+__all__ = ["PredictionService"]
 
 _REQUIRED_FIELDS = ("user", "nodes", "req_walltime_s")
 
@@ -55,7 +52,7 @@ _REQUIRED_FIELDS = ("user", "nodes", "req_walltime_s")
 # repro_predict_outcomes_total (ok / degraded / failed).
 _REQUESTS = REGISTRY.counter(
     "repro_requests_total",
-    "Prediction requests submitted to PredictionService.predict*.",
+    "Prediction requests submitted to PredictionService.predict_request.",
 )
 _OUTCOMES = REGISTRY.counter(
     "repro_predict_outcomes_total",
@@ -76,49 +73,6 @@ _BULK_SIZE = REGISTRY.histogram(
     "Records per bulk prediction call.",
     buckets=(1, 4, 16, 64, 256, 1024, 4096),
 )
-
-
-class LatencyStats:
-    """Histogram-backed latency accounting (thread-safe).
-
-    Backed by a private fixed-bucket
-    :class:`~repro.obs.metrics.Histogram`: the count and mean are exact
-    (lifetime sum/count), p50/p99 are bucket-interpolated estimates —
-    the same numbers a Prometheus ``histogram_quantile`` over the
-    ``/metrics`` exposition yields. :meth:`snapshot` keeps the record
-    shape the ``/healthz`` endpoint and the bench harness report.
-    """
-
-    def __init__(self, buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS) -> None:
-        self._hist = Histogram(
-            "latency_seconds", "per-service request latency", buckets=buckets
-        )
-
-    @property
-    def count(self) -> int:
-        """Lifetime number of recorded requests."""
-        return self._hist.count()
-
-    @property
-    def total_s(self) -> float:
-        """Lifetime sum of recorded request latencies (seconds)."""
-        return self._hist.sum()
-
-    def record(self, seconds: float) -> None:
-        """Fold one request's wall time in."""
-        self._hist.observe(seconds)
-
-    def snapshot(self) -> dict[str, Any]:
-        """count / exact mean / bucket-derived p50 and p99 (ms)."""
-        count = self._hist.count()
-        if count == 0:
-            return {"count": 0, "mean_ms": 0.0, "p50_ms": 0.0, "p99_ms": 0.0}
-        return {
-            "count": count,
-            "mean_ms": round(self._hist.mean() * 1e3, 3),
-            "p50_ms": round(self._hist.quantile(0.50) * 1e3, 3),
-            "p99_ms": round(self._hist.quantile(0.99) * 1e3, 3),
-        }
 
 
 class PredictionService:
@@ -160,7 +114,6 @@ class PredictionService:
         self.max_batch = max_batch
         self.max_wait_s = max_wait_s
         self.max_queue = max_queue
-        self.latency = LatencyStats()
         self._batchers: dict[tuple[str, str, int], MicroBatcher] = {}
         self._shadow_pending: set[tuple[str, str, int]] = set()
         self._lock = threading.Lock()
@@ -175,9 +128,15 @@ class PredictionService:
         self, spec: ScenarioSpec, model: str, version: int = 1
     ) -> MicroBatcher:
         """The lazily created batcher for one (scenario, model, version)."""
+        key = (spec.dataset_digest, model, version)
+        with self._lock:
+            if self._closed:
+                raise ServiceClosed("service is closed")
+            batcher = self._batchers.get(key)
+        if batcher is not None:
+            return batcher
         # Outside our lock: may train (v1) or load a snapshot artifact.
         servable = self.registry.get(spec, model, version=version)
-        key = (spec.dataset_digest, model, version)
         with self._lock:
             if self._closed:
                 raise ServiceClosed("service is closed")
@@ -257,6 +216,8 @@ class PredictionService:
             spec.numeric_columns if spec is not None else ("nodes", "req_walltime_s")
         )
         for i, record in enumerate(records):
+            if not isinstance(record, Mapping):
+                raise ServeError(f"request {i} must be a job object")
             missing = [f for f in required if f not in record]
             if missing:
                 raise ServeError(f"request {i} lacks fields {missing}")
@@ -285,24 +246,20 @@ class PredictionService:
 
     # -- request surface -------------------------------------------------
 
-    def predict_request(
-        self, request: Any = None, /, **kwargs: Any
-    ) -> PredictResponse:
-        """The one predict entry point: request object in, response out.
+    def predict_request(self, request: PredictRequest) -> PredictResponse:
+        """The one predict method: request object in, response out.
 
-        Accepts anything :func:`~repro.serve.api.as_predict_request`
-        coerces (an existing :class:`~repro.serve.api.PredictRequest`, a
-        mapping, or ``records=... model=...`` keywords). ``batched``
-        mode submits each record to the coalescing micro-batcher;
-        ``bulk`` answers the caller-assembled batch with one vectorized
-        call on the calling thread — bit-identical outputs for the same
-        rows. When the registry cannot produce the requested model
-        (training keeps failing under faults), the request is answered
-        by the mean-power baseline and flagged ``degraded`` instead of
-        erroring — caller mistakes (unknown model/user, malformed
-        fields, an overloaded or closed batcher) still raise.
+        ``batched`` mode submits each record to the coalescing
+        micro-batcher, so concurrent callers' single-job requests share
+        vectorized calls; ``bulk`` answers the caller-assembled batch
+        with one vectorized call on the calling thread — bit-identical
+        outputs for the same rows. When the registry cannot produce the
+        requested model (training keeps failing under faults), the
+        request is answered by the mean-power baseline and flagged
+        ``degraded`` instead of erroring — caller mistakes (unknown
+        model/user, malformed fields, an overloaded or closed batcher)
+        still raise.
         """
-        request = as_predict_request(request, **kwargs)
         _REQUESTS.inc()
         bulk = request.mode == "bulk"
         if bulk:
@@ -314,7 +271,7 @@ class PredictionService:
             span_name, model=request.model, n_records=len(request)
         ) as span:
             try:
-                result = self._predict_checked(request, t0)
+                result = self._predict_checked(request)
             except Exception:
                 _OUTCOMES.inc(outcome="failed")
                 raise
@@ -325,59 +282,7 @@ class PredictionService:
                 span.set(outcome=outcome)
         return result
 
-    def predict(
-        self,
-        records: Sequence[Mapping],
-        model: str = "BDT",
-        scenario: "ScenarioSpec | Mapping | None" = None,
-        timeout: float | None = 30.0,
-    ) -> np.ndarray:
-        """Micro-batched predictions for request-order ``records``.
-
-        Coercion shim over :meth:`predict_request`: each record is
-        submitted individually, so concurrent callers' single-job
-        requests coalesce into shared vectorized calls. ``scenario``
-        overrides the service default for this request only (a mapping
-        overlays just the fields it names).
-        """
-        return self.predict_request(
-            records, model=model, scenario=scenario, timeout=timeout
-        ).predictions
-
-    def predict_detailed(
-        self,
-        records: Sequence[Mapping],
-        model: str = "BDT",
-        scenario: "ScenarioSpec | Mapping | None" = None,
-        timeout: float | None = 30.0,
-    ) -> PredictResponse:
-        """:meth:`predict` plus degraded-mode accounting (shim).
-
-        Returns a :class:`~repro.serve.api.PredictResponse`, which also
-        reads like the legacy ``{"predictions", "degraded",
-        "served_by"}`` dict.
-        """
-        return self.predict_request(
-            records, model=model, scenario=scenario, timeout=timeout
-        )
-
-    def predict_bulk(
-        self,
-        records: Sequence[Mapping],
-        model: str = "BDT",
-        scenario: "ScenarioSpec | Mapping | None" = None,
-    ) -> PredictResponse:
-        """One vectorized predict for a caller-assembled batch (shim).
-
-        The high-volume path behind ``POST /predict/bulk``: the request
-        already *is* a batch, so it skips the micro-batcher entirely —
-        no queue, no futures, no straggler wait.
-        """
-        return self.predict_request(
-            records, model=model, scenario=scenario, mode="bulk"
-        )
-
-    def _predict_checked(self, request: PredictRequest, t0: float) -> PredictResponse:
+    def _predict_checked(self, request: PredictRequest) -> PredictResponse:
         records = request.records
         model = request.model
         if not records:
@@ -395,7 +300,7 @@ class PredictionService:
                 # The caller pinned a version that cannot be served —
                 # that's their mistake (400), not a degrade case.
                 raise
-            return self._predict_degraded(request, spec, t0)
+            return self._predict_degraded(request, spec)
         self._validate(records, servable)
         if request.mode == "bulk":
             with self._lock:
@@ -409,7 +314,6 @@ class PredictionService:
             values = batcher.predict_many(records, timeout=request.timeout)
         with self._lock:
             self._degraded_active = False
-        self.latency.record(time.perf_counter() - t0)
         values = np.asarray(values, dtype=float)
         self._maybe_mirror(spec, model, version, records, values)
         return PredictResponse(
@@ -418,10 +322,11 @@ class PredictionService:
             served_by=servable.model_name,
             model=model,
             version=version,
+            dataset_digest=spec.dataset_digest,
         )
 
     def _predict_degraded(
-        self, request: PredictRequest, spec: ScenarioSpec, t0: float
+        self, request: PredictRequest, spec: ScenarioSpec
     ) -> PredictResponse:
         """Answer from the mean-power baseline; flag it in the response."""
         servable = self.registry.fallback(spec)
@@ -430,13 +335,13 @@ class PredictionService:
         with self._lock:
             self.n_degraded += 1
             self._degraded_active = True
-        self.latency.record(time.perf_counter() - t0)
         return PredictResponse(
             predictions=np.asarray(values, dtype=float),
             degraded=True,
             served_by=servable.model_name,
             model=request.model,
             version=1,
+            dataset_digest=spec.dataset_digest,
         )
 
     # -- shadow evaluation (docs/LIFECYCLE.md) ---------------------------
@@ -519,23 +424,6 @@ class PredictionService:
             )
         return self.lifecycle.feedback(records)
 
-    def predict_one(
-        self,
-        user: str,
-        nodes: int,
-        req_walltime_s: float,
-        model: str = "BDT",
-        scenario: "ScenarioSpec | Mapping | None" = None,
-    ) -> float:
-        """Single-job convenience around :meth:`predict`."""
-        return float(
-            self.predict(
-                [{"user": user, "nodes": nodes, "req_walltime_s": req_walltime_s}],
-                model=model,
-                scenario=scenario,
-            )[0]
-        )
-
     def resolve_scenario(self, scenario) -> ScenarioSpec:
         """The effective spec for a request's optional scenario overlay."""
         if scenario is None:
@@ -580,50 +468,32 @@ class PredictionService:
         """Seconds since the service object was created."""
         return time.monotonic() - self._started
 
-    @property
-    def degraded(self) -> bool:
-        """True while the most recent request was baseline-served."""
-        with self._lock:
-            return self._degraded_active
-
     def health(self) -> dict[str, Any]:
-        """The ``/healthz`` view: liveness plus degraded-mode state."""
+        """The ``/v1/healthz`` view: liveness, degraded-mode state, latency.
+
+        ``requests`` and ``latency`` read the process-wide
+        ``repro_request_latency_seconds`` histogram (answered requests;
+        exact count and mean, bucket-interpolated p50/p99). A server
+        process holds one service, so they are that service's numbers.
+        """
         with self._lock:
             degraded = self._degraded_active
             n_degraded = self.n_degraded
+        count = _LATENCY.count()
+        latency = {"count": count, "mean_ms": 0.0, "p50_ms": 0.0, "p99_ms": 0.0}
+        if count:
+            latency.update(
+                mean_ms=round(_LATENCY.mean() * 1e3, 3),
+                p50_ms=round(_LATENCY.quantile(0.50) * 1e3, 3),
+                p99_ms=round(_LATENCY.quantile(0.99) * 1e3, 3),
+            )
         return {
             "status": "degraded" if degraded else "ok",
             "degraded": degraded,
             "n_degraded": n_degraded,
             "uptime_s": round(self.uptime_s, 3),
-        }
-
-    def stats(self) -> dict[str, Any]:
-        """Structured service state: scenario, registry, batchers, latency."""
-        with self._lock:
-            batchers = {
-                f"{model}{f'.v{version}' if version != 1 else ''}@{digest[:12]}":
-                    b.stats.snapshot()
-                for (digest, model, version), b in self._batchers.items()
-            }
-        return {
-            "scenario": self.scenario.to_dict(),
-            "dataset_digest": self.scenario.dataset_digest,
-            "uptime_s": round(self.uptime_s, 3),
-            "degraded": self.degraded,
-            "n_degraded": self.n_degraded,
-            "latency": self.latency.snapshot(),
-            "registry": self.registry.stats(),
-            "models": self.registry.loaded(),
-            "batchers": batchers,
-            "batching": {
-                "max_batch": self.max_batch,
-                "max_wait_ms": self.max_wait_s * 1e3,
-                "max_queue": self.max_queue,
-            },
-            "lifecycle": (
-                self.lifecycle.summary() if self.lifecycle is not None else None
-            ),
+            "requests": count,
+            "latency": latency,
         }
 
     def lineage_stats(self) -> dict[str, Any]:

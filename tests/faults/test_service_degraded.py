@@ -3,7 +3,7 @@
 When the registry cannot produce the requested model (the injected
 ``registry.train`` fault stands in for real training trouble), the
 service must keep answering — from :class:`MeanPowerServable`, with
-``degraded: true`` in the response and ``/healthz`` — while caller
+``degraded: true`` in the response and ``/v1/healthz`` — while caller
 mistakes (unknown model, malformed records) still fail exactly as in
 healthy operation.
 """
@@ -15,7 +15,7 @@ import pytest
 
 from repro.errors import ServeError
 from repro.faults import FaultPlan, FaultRule, arm
-from repro.serve import ModelRegistry, PredictionService
+from repro.serve import ModelRegistry, PredictionService, PredictRequest
 from tests.helpers.served import ServedSystem
 
 
@@ -30,6 +30,10 @@ def _service(tiny_spec) -> PredictionService:
     return PredictionService(tiny_spec, registry=registry, max_wait_s=0.001)
 
 
+def _predict(service, records, model="BDT"):
+    return service.predict_request(PredictRequest(records=records, model=model))
+
+
 def _http(server, method, path, payload=None, raw_body=None):
     status, _, body = server.request(method, path, payload=payload,
                                      raw_body=raw_body)
@@ -41,23 +45,22 @@ def test_training_fault_degrades_to_mean_baseline_then_recovers(
 ):
     with _service(tiny_spec) as service:
         with arm(_train_plan()) as injector:
-            detail = service.predict_detailed(tiny_records[:4])
+            detail = _predict(service, tiny_records[:4])
             assert injector.fires("registry.train") >= 1
-        assert detail["degraded"] is True
-        assert detail["served_by"] == "mean-baseline"
+        assert detail.degraded is True
+        assert detail.served_by == "mean-baseline"
         baseline = service.registry.fallback(tiny_spec)
         np.testing.assert_array_equal(
-            detail["predictions"], np.full(4, baseline.mean_power_w)
+            detail.predictions, np.full(4, baseline.mean_power_w)
         )
         health = service.health()
         assert health["status"] == "degraded"
         assert health["degraded"] is True and health["n_degraded"] == 1
-        assert service.stats()["degraded"] is True
         # Fault cleared: the next request trains for real and the flag
         # drops, while the lifetime counter keeps the history.
-        detail = service.predict_detailed(tiny_records[:4])
-        assert detail["degraded"] is False
-        assert detail["served_by"] == "BDT"
+        detail = _predict(service, tiny_records[:4])
+        assert detail.degraded is False
+        assert detail.served_by == "BDT"
         health = service.health()
         assert health["status"] == "ok" and health["n_degraded"] == 1
 
@@ -78,16 +81,16 @@ def test_caller_mistakes_still_fail_during_degradation(tiny_spec, tiny_records):
         with arm(_train_plan()):
             # Unknown model is checked before the registry is consulted.
             with pytest.raises(ServeError, match="unknown model"):
-                service.predict(tiny_records[:1], model="XGBoost")
+                _predict(service, tiny_records[:1], model="XGBoost")
             # Field validation applies to baseline-served requests too.
             with pytest.raises(ServeError, match="lacks fields"):
-                service.predict([{"user": "u"}])
+                _predict(service, [{"user": "u"}])
             # The mean baseline has no frozen vocabulary: any user is
             # served rather than bounced while the service is degraded.
-            detail = service.predict_detailed(
-                [{"user": "nobody", "nodes": 2, "req_walltime_s": 600}]
+            detail = _predict(
+                service, [{"user": "nobody", "nodes": 2, "req_walltime_s": 600}]
             )
-            assert detail["degraded"] is True
+            assert detail.degraded is True
 
 
 def test_http_surface_reports_degradation_and_faults(tiny_spec, tiny_records):
@@ -96,14 +99,14 @@ def test_http_surface_reports_degradation_and_faults(tiny_spec, tiny_records):
         plan = _train_plan()
         with arm(plan):
             status, body = _http(
-                server, "POST", "/predict", {"jobs": tiny_records[:2]}
+                server, "POST", "/v1/predict", {"jobs": tiny_records[:2]}
             )
             assert status == 200
             assert body["degraded"] is True
             assert body["served_by"] == "mean-baseline"
             assert body["n"] == 2
 
-            status, health = _http(server, "GET", "/healthz")
+            status, health = _http(server, "GET", "/v1/healthz")
             assert status == 200
             assert health["status"] == "degraded"
             # The armed injector surfaces its schedule state for audits.
@@ -112,21 +115,21 @@ def test_http_surface_reports_degradation_and_faults(tiny_spec, tiny_records):
 
             # Caller mistakes stay 400s while degraded ...
             status, body = _http(
-                server, "POST", "/predict",
+                server, "POST", "/v1/predict",
                 {"model": "XGBoost", "jobs": tiny_records[:1]},
             )
             assert status == 400 and "unknown model" in body["error"]
             # ... and a burst of malformed bodies never kills the server.
             for raw in (b"{not json", b"[]", b'{"jobs": "nope"}', b""):
-                status, body = _http(server, "POST", "/predict", raw_body=raw)
+                status, body = _http(server, "POST", "/v1/predict", raw_body=raw)
                 assert status == 400, raw
                 assert "error" in body
 
         # Disarmed: trains for real, flag drops, snapshot disappears.
         status, body = _http(
-            server, "POST", "/predict", {"jobs": tiny_records[:2]}
+            server, "POST", "/v1/predict", {"jobs": tiny_records[:2]}
         )
         assert status == 200 and body["degraded"] is False
-        status, health = _http(server, "GET", "/healthz")
+        status, health = _http(server, "GET", "/v1/healthz")
         assert health["status"] == "ok"
         assert "faults" not in health

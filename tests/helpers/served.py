@@ -21,7 +21,7 @@ Typical fixture::
 or, building the whole stack from a scenario spec::
 
     with ServedSystem(tiny_spec, cache_dir=serve_cache, warm=("BDT",)) as s:
-        status, headers, body = s.post("/predict", {"jobs": records})
+        status, headers, body = s.post("/v1/predict", {"jobs": records})
 
 :func:`served` is the same thing as a plain context-manager function,
 for call sites that read better without the class name.

@@ -103,7 +103,7 @@ def test_registry_rule_reads_degraded_outcomes():
 def test_malformed_rule_reads_400_responses():
     bundle = mk_bundle(
         name="http-malformed",
-        delta={"repro_http_responses_total": {("/predict", "400"): 3.0}},
+        delta={"repro_http_responses_total": {("/v1/predict", "400"): 3.0}},
     )
     assert RULES.analyze(bundle).points == {"http.malformed": 0.0}
 

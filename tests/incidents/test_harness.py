@@ -28,11 +28,11 @@ def test_lifecycle_and_json_client(tiny_service):
     try:
         assert system.running and system.port > 0
         assert system.base_url == f"http://127.0.0.1:{system.port}"
-        status, headers, health = system.get("/healthz")
+        status, headers, health = system.get("/v1/healthz")
         assert status == 200 and health["status"] == "ok"
         assert "application/json" in headers.get("Content-Type", "")
         # raw_response skips the JSON decode for byte-shape consumers.
-        status, _, raw = system.get("/healthz", raw_response=True)
+        status, _, raw = system.get("/v1/healthz", raw_response=True)
         assert status == 200 and isinstance(raw, bytes)
     finally:
         system.stop()
@@ -47,20 +47,20 @@ def test_stop_leaves_a_shared_service_usable(tiny_service, tiny_spec):
     for _ in range(2):
         with ServedSystem(service=tiny_service) as system:
             status, _, body = system.post(
-                "/predict",
+                "/v1/predict",
                 {"model": "BDT", "jobs": [
                     {"user": "u", "nodes": 1, "req_walltime_s": 60},
                 ]},
             )
             # 400 (unknown user) still proves service + server answer.
             assert status in (200, 400)
-    assert tiny_service.stats()["scenario"] == tiny_spec.to_dict()
+    assert tiny_service.lineage_stats()["scenario"] == tiny_spec.to_dict()
 
 
 def test_served_contextmanager_wrapper(tiny_service):
     with served(service=tiny_service) as system:
         assert system.running
-        status, _, _ = system.get("/healthz")
+        status, _, _ = system.get("/v1/healthz")
         assert status == 200
     assert system.running is False
 
@@ -77,7 +77,7 @@ def test_explicit_port_collision_falls_back_to_ephemeral(tiny_service):
             service=tiny_service, port=taken, bind_retries=2
         ) as system:
             assert system.port != taken
-            status, _, _ = system.get("/healthz")
+            status, _, _ = system.get("/v1/healthz")
             assert status == 200
     finally:
         blocker.close()
@@ -130,8 +130,8 @@ def test_snapshot_delta_brackets_own_traffic(tiny_service):
     with ServedSystem(service=tiny_service) as system:
         before = system.snapshot()
         for _ in range(3):
-            status, _, _ = system.get("/healthz")
+            status, _, _ = system.get("/v1/healthz")
             assert status == 200
         delta = system.delta_since(before)
         moved = delta.get("repro_http_requests_total", {})
-        assert sum(v for k, v in moved.items() if "/healthz" in k) >= 3
+        assert sum(v for k, v in moved.items() if "/v1/healthz" in k) >= 3

@@ -1,69 +1,42 @@
-"""The /v1 HTTP surface, deprecation shims, and the canonical API pair.
+"""The /v1 HTTP surface and the lifecycle admin endpoints.
 
-Covers the api_redesign contract: one ``PredictRequest`` in /
-``PredictResponse`` out pair behind every entry point (with
-``as_scenario``-style coercion shims), a versioned ``/v1`` HTTP
-namespace whose legacy paths answer through instrumented deprecation
-shims, and the lifecycle admin endpoints.
+The server answers only under ``/v1``: the unversioned paths are plain
+404s, and no response carries deprecation headers.
 """
 
 from __future__ import annotations
 
 import json
 
-import numpy as np
 import pytest
 
 from repro.errors import ServeError
-from repro.serve import PredictRequest, PredictResponse, as_predict_request
+from repro.serve import PredictRequest
 from tests.helpers.served import ServedSystem
 
 RECORD = {"user": "user001", "nodes": 2, "req_walltime_s": 600}
 
-
-# -- request coercion shims ----------------------------------------------
-
-
-def test_as_predict_request_passthrough_and_replace():
-    req = PredictRequest(records=(RECORD,), model="online")
-    assert as_predict_request(req) is req
-    replaced = as_predict_request(req, model="KNN")
-    assert replaced.model == "KNN" and replaced.records == req.records
+#: Pre-/v1 paths the server no longer serves.
+UNVERSIONED = ("/healthz", "/models", "/metrics", "/predict", "/predict/bulk")
 
 
-def test_as_predict_request_accepts_bare_record_sequences():
-    req = as_predict_request([RECORD, RECORD], model="online", timeout=5.0)
-    assert len(req) == 2
-    assert req.model == "online" and req.timeout == 5.0
-    assert req.mode == "batched" and req.version is None
+# -- the request type ------------------------------------------------------
 
 
-def test_as_predict_request_accepts_legacy_jobs_mapping():
-    req = as_predict_request({"jobs": [RECORD], "model": "online"})
-    assert req.records == (RECORD,)
+def test_as_predict_request_rejects_unknown_fields(v1_server):
+    """An unknown request field or mode is refused, as is a body without jobs.
 
-
-def test_as_predict_request_rejects_unknown_fields():
-    with pytest.raises(ServeError, match="unknown predict-request fields"):
-        as_predict_request({"records": [RECORD], "modle": "BDT"})
-    with pytest.raises(ServeError, match="needs records"):
-        as_predict_request({})
+    (Named for the coercion helper these checks lived in before
+    ``PredictRequest`` became the only request form.)
+    """
+    with pytest.raises(TypeError, match="modle"):
+        PredictRequest(records=(RECORD,), modle="BDT")
     with pytest.raises(ServeError, match="unknown predict mode"):
         PredictRequest(records=(RECORD,), mode="streaming")
-
-
-def test_predict_response_mapping_shim():
-    resp = PredictResponse(
-        predictions=np.array([1.0]), degraded=False, served_by="online",
-        model="online", version=3, latency_s=0.01, extras={"n": 1},
+    status, _, body = v1_server.request(
+        "POST", "/v1/predict", payload={"model": "BDT"}
     )
-    # Old call sites read predict_detailed() dicts; the shim keeps them.
-    assert resp["served_by"] == "online" and resp["n"] == 1
-    assert resp.get("missing") is None
-    assert "degraded" in resp and set(resp.keys()) >= {"predictions", "version"}
-    assert dict(resp.to_dict())["version"] == 3
-    with pytest.raises(KeyError):
-        resp["nope"]
+    assert status == 400 and 'request needs "jobs"' in body["error"]
 
 
 # -- the /v1 surface over HTTP -------------------------------------------
@@ -81,37 +54,22 @@ def v1_server(tiny_spec, serve_cache, tmp_path_factory):
         yield system
 
 
-def _request(server, method, path, payload=None):
-    return server.request(method, path, payload=payload, raw_response=True)
-
-
 def _json(server, method, path, payload=None):
     return server.request(method, path, payload=payload)
 
 
-def test_v1_healthz_and_legacy_shim(v1_server):
+def test_v1_healthz_and_unversioned_paths_404(v1_server):
     status, headers, body = _json(v1_server, "GET", "/v1/healthz")
     assert status == 200 and body["status"] == "ok"
-    assert "Deprecation" not in headers
+    assert "Deprecation" not in headers and "Link" not in headers
 
-    status, headers, legacy = _json(v1_server, "GET", "/healthz")
-    assert status == 200 and legacy["status"] == "ok"
-    assert headers["Deprecation"] == "true"
-    assert 'rel="successor-version"' in headers["Link"]
-    assert "/v1/healthz" in headers["Link"]
-
-
-def test_legacy_requests_tick_the_deprecation_counter(v1_server):
-    _json(v1_server, "GET", "/healthz")
-    _, _, raw = _request(v1_server, "GET", "/v1/metrics")
-    exposition = raw.decode()
-    assert "repro_http_deprecated_requests_total" in exposition
-    line = next(
-        l for l in exposition.splitlines()
-        if l.startswith("repro_http_deprecated_requests_total")
-        and 'endpoint="/healthz"' in l
-    )
-    assert float(line.rsplit(" ", 1)[1]) >= 1
+    for path in UNVERSIONED:
+        method = "POST" if path.startswith("/predict") else "GET"
+        payload = {"jobs": [RECORD]} if method == "POST" else None
+        status, headers, body = _json(v1_server, method, path, payload)
+        assert status == 404, path
+        assert "no such endpoint" in body["error"]
+        assert "Deprecation" not in headers and "Link" not in headers
 
 
 def test_v1_models_is_the_lineage_view(v1_server):
@@ -123,11 +81,6 @@ def test_v1_models_is_the_lineage_view(v1_server):
     online = rows["online"]
     assert online["active"] == 1 and 1 in online["versions"]
     assert {"candidate", "shadow", "drift", "trained_at_key"} <= set(online)
-
-    # The legacy /models payload keeps its pre-/v1 stats shape.
-    status, headers, legacy = _json(v1_server, "GET", "/models")
-    assert status == 200 and headers["Deprecation"] == "true"
-    assert "batchers" in legacy and "registry" in legacy
 
 
 def test_v1_predict_carries_the_lineage_version(v1_server, tiny_records):

@@ -14,7 +14,6 @@ import pytest
 
 from repro.errors import ServeError, ServiceClosed
 from repro.serve import MicroBatcher
-from repro.serve.batching import BatchStats
 
 
 def _blocking_predict(calls, release, started):
@@ -67,19 +66,6 @@ def test_max_batch_caps_every_call():
         release.set()
         assert [f.result(5) for f in futures] == [float(i) for i in range(11)]
     assert max(calls) <= 4 and sum(calls) == 11
-
-
-def test_stats_track_batches():
-    stats = BatchStats()
-    stats.record(1)
-    stats.record(3)
-    snap = stats.snapshot()
-    assert snap == {
-        "n_requests": 4,
-        "n_batches": 2,
-        "mean_batch": 2.0,
-        "max_batch": 3,
-    }
 
 
 def test_predict_error_reaches_every_waiter_and_batcher_survives():

@@ -3,7 +3,7 @@
 The pool's contract extends the single-process one: whichever
 ``SO_REUSEPORT`` worker the kernel routes a connection to, the
 prediction bits must be exactly the ones a lone in-process
-:class:`~repro.serve.PredictionService` produces, ``/metrics`` on any
+:class:`~repro.serve.PredictionService` produces, ``/v1/metrics`` on any
 worker must expose the whole fleet, and a killed worker must be
 replaced by the supervisor without the survivors dropping requests.
 
@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ServeError
-from repro.serve import PredictionService
+from repro.serve import PredictionService, PredictRequest
 from repro.serve.forking import ForkingServer, WorkerConfig
 
 pytestmark = pytest.mark.skipif(
@@ -50,13 +50,13 @@ def _request(pool, method, path, body=None, headers=None):
 
 
 def _predict_on_every_worker(pool, records, attempts=40):
-    """Collect one /predict response per worker id (kernel sharding is
+    """Collect one /v1/predict response per worker id (kernel sharding is
     per-connection, so fresh connections eventually land on each)."""
     body = json.dumps({"model": "BDT", "jobs": records}).encode()
     by_worker: dict[str, list[float]] = {}
     for _ in range(attempts):
         status, headers, data = _request(
-            pool, "POST", "/predict", body,
+            pool, "POST", "/v1/predict", body,
             {"Content-Type": "application/json"},
         )
         assert status == 200, data
@@ -81,7 +81,9 @@ def test_every_worker_bit_identical_to_single_process(
     records = tiny_records[:12]
     service = PredictionService(tiny_spec, cache_dir=serve_cache)
     try:
-        expected = np.asarray(service.predict(records, model="BDT"))
+        expected = service.predict_request(
+            PredictRequest(records=records, model="BDT")
+        ).predictions
     finally:
         service.close()
 
@@ -102,7 +104,7 @@ def test_bulk_endpoint_identical_across_workers(pool, tiny_records):
     seen: dict[str, list[float]] = {}
     for _ in range(40):
         status, headers, data = _request(
-            pool, "POST", "/predict/bulk?model=BDT", body,
+            pool, "POST", "/v1/predict/bulk?model=BDT", body,
             {"Content-Type": "application/x-ndjson"},
         )
         assert status == 200, data
@@ -121,7 +123,7 @@ def test_metrics_aggregated_across_workers(pool, tiny_records):
     # Touch every worker so each has non-zero request counters...
     _predict_on_every_worker(pool, tiny_records[:2])
     time.sleep(1.2)  # ...and let the snapshot writers publish them.
-    status, _, data = _request(pool, "GET", "/metrics")
+    status, _, data = _request(pool, "GET", "/v1/metrics")
     assert status == 200
     exposition = data.decode()
     line = next(l for l in exposition.splitlines()
@@ -133,7 +135,7 @@ def test_metrics_aggregated_across_workers(pool, tiny_records):
 
 
 def test_healthz_reports_worker_id(pool):
-    status, _, data = _request(pool, "GET", "/healthz")
+    status, _, data = _request(pool, "GET", "/v1/healthz")
     assert status == 200
     assert json.loads(data)["worker"] in range(pool.workers)
 

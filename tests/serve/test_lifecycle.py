@@ -26,7 +26,12 @@ import pytest
 from repro.errors import ServeError
 from repro.faults import FaultPlan, FaultRule, arm
 from repro.obs import MetricsRegistry
-from repro.serve import ModelLifecycle, ModelRegistry, PredictionService
+from repro.serve import (
+    ModelLifecycle,
+    ModelRegistry,
+    PredictionService,
+    PredictRequest,
+)
 from repro.serve.lifecycle import LineageJournal, replay_feedback
 
 
@@ -37,6 +42,12 @@ def _lifecycle(tiny_spec, serve_cache, tmp_path, **kwargs) -> ModelLifecycle:
         registry=ModelRegistry(cache_dir=serve_cache),
         lifecycle_dir=tmp_path / "lifecycle",
         **kwargs,
+    )
+
+
+def _online(service, records):
+    return service.predict_request(
+        PredictRequest(records=records, model="online")
     )
 
 
@@ -151,7 +162,7 @@ def test_promote_rollback_round_trip_is_bit_identical(
         tiny_spec, registry=lc.registry, lifecycle=lc, max_wait_s=0.001
     )
     try:
-        before = service.predict(tiny_records, model="online")
+        before = _online(service, tiny_records).predictions
         # Shifted outcomes: the updated learner must actually move.
         lc.feedback([{**r, "power_w": r["power_w"] * 1.5}
                      for r in feedback_records])
@@ -160,14 +171,14 @@ def test_promote_rollback_round_trip_is_bit_identical(
 
         event = lc.promote("online", version, who="t", why="better")
         assert event["from_version"] == 1 and event["version"] == version
-        promoted = service.predict_request(tiny_records, model="online")
+        promoted = _online(service, tiny_records)
         assert promoted.version == version
         # The candidate really is the feedback-updated learner.
         assert not np.array_equal(promoted.predictions, before)
 
         event = lc.rollback("online", who="t", why="regression")
         assert event["version"] == 1
-        restored = service.predict_request(tiny_records, model="online")
+        restored = _online(service, tiny_records)
         assert restored.version == 1
         np.testing.assert_array_equal(restored.predictions, before)
     finally:
@@ -237,13 +248,13 @@ def test_shadow_mirroring_never_blocks_live_responses(
         tiny_spec, registry=lc.registry, lifecycle=lc, max_wait_s=0.001
     )
     try:
-        baseline = service.predict(tiny_records, model="online")
+        baseline = _online(service, tiny_records).predictions
         lc.feedback(feedback_records)
         version = lc.create_candidate("online", who="t", why="shadow")
         shadow_key = (tiny_spec.dataset_digest, "online", version)
 
         # First mirrored request spawns the background batcher build.
-        service.predict(tiny_records[:2], model="online")
+        _online(service, tiny_records[:2])
         assert _wait_for(lambda: shadow_key in service._batchers)
 
         # Stall the candidate outright: its predicts block on a gate.
@@ -259,7 +270,7 @@ def test_shadow_mirroring_never_blocks_live_responses(
         report_before = lc.shadow_report("online") or {"n": 0}
 
         start = time.monotonic()
-        live = service.predict_request(tiny_records, model="online")
+        live = _online(service, tiny_records)
         elapsed = time.monotonic() - start
         # Live came back correct, in order, served by the active
         # version, without waiting on the gated shadow.
@@ -286,7 +297,7 @@ def test_shadow_under_batcher_latency_fault_keeps_live_exact(
         tiny_spec, registry=lc.registry, lifecycle=lc, max_wait_s=0.001
     )
     try:
-        baseline = service.predict(tiny_records, model="online")
+        baseline = _online(service, tiny_records).predictions
         lc.feedback(feedback_records)
         lc.create_candidate("online", who="t", why="latency fault")
         plan = FaultPlan(
@@ -295,7 +306,7 @@ def test_shadow_under_batcher_latency_fault_keeps_live_exact(
         )
         with arm(plan):
             for _ in range(3):
-                live = service.predict_request(tiny_records, model="online")
+                live = _online(service, tiny_records)
                 np.testing.assert_array_equal(live.predictions, baseline)
                 assert live.version == 1 and not live.degraded
     finally:

@@ -7,6 +7,7 @@ are *bit-identical* to calling the fitted predictor directly.
 
 from __future__ import annotations
 
+import http.client
 import json
 import threading
 
@@ -14,7 +15,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ScenarioError, ServeError
-from repro.serve import PredictionService
+from repro.obs.metrics import REGISTRY
+from repro.serve import PredictionService, PredictRequest
 from tests.helpers.served import ServedSystem
 
 
@@ -46,11 +48,17 @@ def _http(server, method, path, payload=None):
     return status, body
 
 
+def _predict(service, records, model="BDT"):
+    return service.predict_request(
+        PredictRequest(records=records, model=model)
+    ).predictions
+
+
 # -- in-process ----------------------------------------------------------
 
 
 def test_batched_predictions_bit_identical_to_direct(service, tiny_records, direct):
-    batched = service.predict(tiny_records, model="BDT")
+    batched = _predict(service, tiny_records)
     np.testing.assert_array_equal(batched, direct)
 
 
@@ -59,6 +67,7 @@ def test_concurrent_clients_get_bit_identical_predictions(
 ):
     """8 threads of single-job requests: coalesced, still exact."""
     n_threads = 8
+    batched_before = REGISTRY.get("repro_batch_requests_total").total()
     out = np.full(len(tiny_records), np.nan)
     errors: list[BaseException] = []
     barrier = threading.Barrier(n_threads)
@@ -67,7 +76,7 @@ def test_concurrent_clients_get_bit_identical_predictions(
         barrier.wait()
         try:
             for i in range(worker, len(tiny_records), n_threads):
-                out[i] = service.predict([tiny_records[i]], model="BDT")[0]
+                out[i] = _predict(service, [tiny_records[i]])[0]
         except BaseException as exc:  # surfaced after join
             errors.append(exc)
 
@@ -78,8 +87,7 @@ def test_concurrent_clients_get_bit_identical_predictions(
         t.join()
     assert not errors
     np.testing.assert_array_equal(out, direct)
-    stats = service.stats()
-    total = sum(s["n_requests"] for s in stats["batchers"].values())
+    total = REGISTRY.get("repro_batch_requests_total").total() - batched_before
     assert total >= len(tiny_records)
 
 
@@ -88,24 +96,26 @@ def test_unknown_user_fails_alone_without_poisoning_the_batcher(
 ):
     bad = {"user": "not-a-user", "nodes": 2, "req_walltime_s": 600}
     with pytest.raises(ServeError, match="unknown user"):
-        service.predict([bad], model="BDT")
+        _predict(service, [bad])
     # The online model backs off instead of rejecting.
-    assert service.predict([bad], model="online")[0] > 0
+    assert _predict(service, [bad], model="online")[0] > 0
     # And the BDT batcher still serves good requests.
-    assert np.isfinite(service.predict(tiny_records[:2], model="BDT")).all()
+    assert np.isfinite(_predict(service, tiny_records[:2])).all()
 
 
 def test_malformed_records_rejected(service):
     with pytest.raises(ServeError, match="lacks fields"):
-        service.predict([{"user": "u"}])
+        _predict(service, [{"user": "u"}])
     with pytest.raises(ServeError, match="nodes must be >= 1"):
-        service.predict([{"user": "u", "nodes": 0, "req_walltime_s": 60}])
+        _predict(service, [{"user": "u", "nodes": 0, "req_walltime_s": 60}])
     with pytest.raises(ServeError, match="must be positive"):
-        service.predict([{"user": "u", "nodes": 1, "req_walltime_s": 0}])
+        _predict(service, [{"user": "u", "nodes": 1, "req_walltime_s": 0}])
     with pytest.raises(ServeError, match="must be numeric"):
-        service.predict([{"user": "u", "nodes": "many", "req_walltime_s": 60}])
+        _predict(service, [{"user": "u", "nodes": "many", "req_walltime_s": 60}])
+    with pytest.raises(ServeError, match="must be a job object"):
+        _predict(service, [1, 2])
     with pytest.raises(ServeError, match="at least one record"):
-        service.predict([])
+        _predict(service, [])
 
 
 def test_scenario_overlay_changes_only_named_fields(service, tiny_spec):
@@ -118,21 +128,12 @@ def test_scenario_overlay_changes_only_named_fields(service, tiny_spec):
         service.resolve_scenario({"nodes": 12})
 
 
-def test_service_stats_shape(service, tiny_spec):
-    stats = service.stats()
-    assert stats["scenario"] == tiny_spec.to_dict()
-    assert stats["dataset_digest"] == tiny_spec.dataset_digest
-    assert stats["latency"]["count"] > 0
-    assert stats["registry"]["warm"] >= 1
-    assert stats["batching"]["max_batch"] == 64
-
-
 # -- HTTP ----------------------------------------------------------------
 
 
 def test_http_predict_round_trip_is_bit_identical(server, tiny_records, direct):
     status, answer = _http(
-        server, "POST", "/predict", {"model": "BDT", "jobs": tiny_records}
+        server, "POST", "/v1/predict", {"model": "BDT", "jobs": tiny_records}
     )
     assert status == 200
     assert answer["n"] == len(tiny_records)
@@ -143,13 +144,13 @@ def test_http_predict_round_trip_is_bit_identical(server, tiny_records, direct):
 
 
 def test_http_single_job_form(server, tiny_records, direct):
-    status, answer = _http(server, "POST", "/predict", {"job": tiny_records[0]})
+    status, answer = _http(server, "POST", "/v1/predict", {"job": tiny_records[0]})
     assert status == 200
     assert answer["predictions"] == [float(direct[0])]
 
 
 def test_http_healthz(server):
-    status, health = _http(server, "GET", "/healthz")
+    status, health = _http(server, "GET", "/v1/healthz")
     assert status == 200
     assert health["status"] == "ok"
     assert health["uptime_s"] >= 0
@@ -157,11 +158,10 @@ def test_http_healthz(server):
 
 
 def test_http_models_endpoint(server, tiny_spec):
-    status, stats = _http(server, "GET", "/models")
+    status, stats = _http(server, "GET", "/v1/models")
     assert status == 200
     assert stats["dataset_digest"] == tiny_spec.dataset_digest
-    assert any(m["model"] == "BDT" for m in stats["models"])
-    assert stats["batchers"]
+    assert any(m["model"] == "BDT" and m["warm"] for m in stats["models"])
 
 
 def test_http_error_mapping(server, tiny_records):
@@ -172,24 +172,57 @@ def test_http_error_mapping(server, tiny_records):
         {},  # no jobs
         {"jobs": []},
         {"jobs": "not-a-list"},
+        {"jobs": [1, 2]},
         {"model": "XGBoost", "jobs": tiny_records[:1]},
+        {"model": ["BDT"], "jobs": tiny_records[:1]},
+        {"version": "abc", "jobs": tiny_records[:1]},
         {"jobs": [{"user": "u"}]},
         {"scenario": {"bogus": 1}, "jobs": tiny_records[:1]},
         {"jobs": [{"user": "not-a-user", "nodes": 1, "req_walltime_s": 60}]},
     ):
-        status, body = _http(server, "POST", "/predict", payload)
+        status, body = _http(server, "POST", "/v1/predict", payload)
         assert status == 400, payload
         assert "error" in body
 
-    status, _, body = server.request("POST", "/predict", raw_body=b"{not json")
-    assert status == 400
-    assert "invalid JSON" in body["error"]
+    for raw in (b"{not json", b"\xff\xfe{"):  # bad JSON, bad UTF-8
+        status, _, body = server.request("POST", "/v1/predict", raw_body=raw)
+        assert status == 400, raw
+        assert "invalid JSON" in body["error"]
+    # A body whose length cannot be read answers 400 and closes.
+    status, headers, body = server.request(
+        "POST", "/v1/predict", headers={"Content-Length": "abc"}
+    )
+    assert status == 400 and "Content-Length" in body["error"]
+    assert headers["Connection"] == "close"
+    # An unparseable scenario query on the bulk endpoint.
+    status, _, body = server.request(
+        "POST", "/v1/predict/bulk?model=BDT&scenario={oops",
+        raw_body=json.dumps(tiny_records[0]).encode(),
+    )
+    assert status == 400 and "scenario" in body["error"]
 
 
-# -- /predict/bulk (NDJSON) ----------------------------------------------
+def test_unread_body_does_not_break_keep_alive(server, tiny_records):
+    conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
+    try:
+        body = json.dumps({"jobs": tiny_records[:1]})
+        conn.request("POST", "/predict", body=body,
+                     headers={"Content-Type": "application/json"})
+        response = conn.getresponse()
+        assert response.status == 404
+        assert "error" in json.loads(response.read())
+        conn.request("GET", "/v1/healthz")
+        response = conn.getresponse()
+        assert response.status == 200
+        assert json.loads(response.read())["status"] == "ok"
+    finally:
+        conn.close()
 
 
-def _bulk(server, body: bytes, path="/predict/bulk?model=BDT"):
+# -- /v1/predict/bulk (NDJSON) -------------------------------------------
+
+
+def _bulk(server, body: bytes, path="/v1/predict/bulk?model=BDT"):
     return server.request(
         "POST", path, raw_body=body,
         headers={"Content-Type": "application/x-ndjson"}, raw_response=True,
@@ -222,7 +255,8 @@ def test_http_bulk_scenario_overlay_via_query(server, tiny_records):
 
     body = json.dumps(tiny_records[0]).encode()
     status, _, _ = _bulk(
-        server, body, path=f"/predict/bulk?model=BDT&scenario={quote(overlay)}"
+        server, body,
+        path=f"/v1/predict/bulk?model=BDT&scenario={quote(overlay)}",
     )
     assert status == 200
 
@@ -239,9 +273,9 @@ def test_http_bulk_error_mapping(server, tiny_records):
     )
     assert status == 400
     assert "line 2" in json.loads(data)["error"]
-    # Unknown model maps exactly like /predict.
+    # Unknown model maps exactly like /v1/predict.
     body = json.dumps(tiny_records[0]).encode()
-    status, _, _ = _bulk(server, body, path="/predict/bulk?model=XGBoost")
+    status, _, _ = _bulk(server, body, path="/v1/predict/bulk?model=XGBoost")
     assert status == 400
 
 
@@ -251,15 +285,15 @@ def test_closed_service_refuses_predicts(tiny_spec, serve_cache):
     svc.close()
     svc.close()  # idempotent
     with pytest.raises(ServeError):
-        svc.predict([record], model="online")
+        _predict(svc, [record], model="online")
 
 
-# -- /metrics ------------------------------------------------------------
+# -- /v1/metrics ---------------------------------------------------------
 
 
 def _scrape(server) -> tuple[str, str]:
-    """GET /metrics raw; returns (content_type, body text)."""
-    status, headers, body = server.get("/metrics", raw_response=True)
+    """GET /v1/metrics raw; returns (content_type, body text)."""
+    status, headers, body = server.get("/v1/metrics", raw_response=True)
     assert status == 200
     return headers["Content-Type"], body.decode("utf-8")
 
@@ -268,7 +302,7 @@ def test_metrics_endpoint_serves_valid_exposition(server, tiny_records):
     from tests.obs.test_metrics import parse_exposition
 
     # Ensure at least one prediction has flowed through the service.
-    status, _ = _http(server, "POST", "/predict",
+    status, _ = _http(server, "POST", "/v1/predict",
                       {"model": "BDT", "jobs": tiny_records[:2]})
     assert status == 200
 
@@ -293,7 +327,7 @@ def test_metrics_counters_are_monotone_across_requests(server, tiny_records):
 
     before = parse_exposition(_scrape(server)[1])
     for _ in range(3):
-        status, _ = _http(server, "POST", "/predict",
+        status, _ = _http(server, "POST", "/v1/predict",
                           {"model": "BDT", "jobs": tiny_records[:1]})
         assert status == 200
     after = parse_exposition(_scrape(server)[1])
@@ -306,5 +340,5 @@ def test_metrics_counters_are_monotone_across_requests(server, tiny_records):
         if "_total" in key or "_bucket" in key or "_count" in key:
             assert after.get(key, 0.0) >= value, key
     # The scrape itself is accounted.
-    assert (after['repro_http_requests_total{endpoint="/metrics"}']
-            >= before['repro_http_requests_total{endpoint="/metrics"}'] + 1)
+    assert (after['repro_http_requests_total{endpoint="/v1/metrics"}']
+            >= before['repro_http_requests_total{endpoint="/v1/metrics"}'] + 1)

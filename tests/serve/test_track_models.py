@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ServeError
+from repro.serve.api import PredictRequest
 from repro.serve.registry import SERVE_MODELS, ModelRegistry
 from repro.serve.service import PredictionService
 from repro.spec import ScenarioSpec
@@ -30,6 +31,10 @@ def alex_service(tmp_path_factory):
     service.close()
 
 
+def _bulk(records, model):
+    return PredictRequest(records=records, model=model, mode="bulk")
+
+
 @pytest.fixture(scope="module")
 def gpu_record():
     return {"user": "u0001", "nodes": 2, "req_walltime_s": 7200, "gpus": 8}
@@ -40,25 +45,20 @@ def test_track_models_are_registered():
 
 
 def test_gpu_predict_serves_board_power(alex_service, gpu_record):
-    response = alex_service.predict_request(
-        {"records": [gpu_record], "model": "GPU", "mode": "bulk"}
-    )
+    response = alex_service.predict_request(_bulk([gpu_record], "GPU"))
     assert response.served_by == "GPU"
     assert not response.degraded
     assert response.predictions[0] > 0
 
 def test_gpu_request_without_gpus_field_is_rejected(alex_service):
     with pytest.raises(ServeError, match="gpus"):
-        alex_service.predict_request({
-            "records": [{"user": "u0001", "nodes": 2, "req_walltime_s": 7200}],
-            "model": "GPU", "mode": "bulk",
-        })
+        alex_service.predict_request(_bulk(
+            [{"user": "u0001", "nodes": 2, "req_walltime_s": 7200}], "GPU"
+        ))
 
 
 def test_fail_predict_returns_probabilities(alex_service, gpu_record):
-    response = alex_service.predict_request(
-        {"records": [gpu_record] * 4, "model": "FAIL", "mode": "bulk"}
-    )
+    response = alex_service.predict_request(_bulk([gpu_record] * 4, "FAIL"))
     assert response.served_by == "FAIL"
     preds = np.asarray(response.predictions, dtype=float)
     assert ((preds >= 0) & (preds <= 1)).all()
@@ -70,13 +70,9 @@ def test_track_model_on_cpu_scenario_is_a_caller_error(tmp_path, gpu_record):
     service = PredictionService(emmy, registry=ModelRegistry(cache_dir=tmp_path))
     try:
         with pytest.raises(ServeError, match="no GPUs"):
-            service.predict_request(
-                {"records": [gpu_record], "model": "GPU", "mode": "bulk"}
-            )
+            service.predict_request(_bulk([gpu_record], "GPU"))
         with pytest.raises(ServeError, match="failure"):
-            service.predict_request(
-                {"records": [gpu_record], "model": "FAIL", "mode": "bulk"}
-            )
+            service.predict_request(_bulk([gpu_record], "FAIL"))
     finally:
         service.close()
 
@@ -86,7 +82,5 @@ def test_gpu_served_matches_offline_predictor(alex_service, gpu_record):
     fitted predictor answers (bit identity, as for BDT)."""
     servable = alex_service.registry.get(ALEX_TINY, "GPU")
     direct = servable.predictor.predict_records([gpu_record])
-    served = alex_service.predict_request(
-        {"records": [gpu_record], "model": "GPU", "mode": "bulk"}
-    ).predictions
+    served = alex_service.predict_request(_bulk([gpu_record], "GPU")).predictions
     np.testing.assert_array_equal(np.asarray(served), direct)

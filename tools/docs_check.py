@@ -18,13 +18,16 @@ by docs/LIFECYCLE.md; that the incident-benchmark surface
 (``repro.incidents.__all__``) is covered by docs/INCIDENTS.md; and that
 the heterogeneous-scenario catalog (every registered system, every
 evaluation track, every exit-code constant) is covered by
-docs/SCENARIOS.md. Run via ``make docs-check``.
+docs/SCENARIOS.md. Finally, README.md and docs/*.md may name only HTTP
+routes the server serves (the route table in ``repro.serve.http``).
+Run via ``make docs-check``.
 """
 
 from __future__ import annotations
 
 import importlib
 import inspect
+import re
 import sys
 from pathlib import Path
 
@@ -39,6 +42,9 @@ LIFECYCLE_DOC = REPO_ROOT / "docs" / "LIFECYCLE.md"
 INCIDENTS_DOC = REPO_ROOT / "docs" / "INCIDENTS.md"
 SCENARIOS_DOC = REPO_ROOT / "docs" / "SCENARIOS.md"
 PACKAGE_ROOT = REPO_ROOT / "src" / "repro"
+
+#: A ``/v1/...`` path as docs write it; the match stops at a query string.
+_V1_PATH = re.compile(r"/v1(?:/[\w-]+)+")
 
 
 def check_docstrings(module_name: str) -> list[str]:
@@ -166,6 +172,37 @@ def check_scenarios_doc() -> list[str]:
     return missing
 
 
+def check_routes() -> list[str]:
+    """HTTP routes that README.md or docs/*.md name but nobody serves.
+
+    Two mistakes are caught, in prose, in backticks and in ``curl``
+    examples alike: an unversioned twin of a ``/v1`` route (``/predict``
+    for ``/v1/predict``), and a ``/v1/...`` path that is not in
+    :data:`repro.serve.http.ROUTES`. A twin followed by a file suffix or
+    a deeper path segment (``metrics.py``, ``/models/``) is not a route.
+    """
+    from repro.serve.http import ROUTES
+
+    served = {path for _method, path in ROUTES}
+    twins = sorted({path[len("/v1"):] for path in served}, key=len, reverse=True)
+    twin = re.compile(
+        r"(?<!/v1)(" + "|".join(map(re.escape, twins)) + r")(?![\w/-]|\.\w)"
+    )
+    problems = []
+    for doc in (REPO_ROOT / "README.md", *sorted((REPO_ROOT / "docs").glob("*.md"))):
+        for lineno, line in enumerate(doc.read_text().splitlines(), start=1):
+            where = f"{doc.relative_to(REPO_ROOT)}:{lineno}"
+            problems += [
+                f"{where}: unversioned {m.group(1)}" for m in twin.finditer(line)
+            ]
+            problems += [
+                f"{where}: {m.group(0)} is not served"
+                for m in _V1_PATH.finditer(line)
+                if m.group(0) not in served
+            ]
+    return problems
+
+
 def main() -> int:
     problems: list[str] = []
     for module_name in ("repro", "repro.pipeline", "repro.faults", "repro.obs",
@@ -192,6 +229,8 @@ def main() -> int:
         problems.append(f"absent from docs/INCIDENTS.md: repro.incidents.{name}")
     for name in check_scenarios_doc():
         problems.append(f"absent from docs/SCENARIOS.md: {name}")
+    for problem in check_routes():
+        problems.append(f"route not served: {problem}")
 
     if problems:
         print(f"docs-check: {len(problems)} problem(s)", file=sys.stderr)

@@ -4,19 +4,18 @@
 Drives the whole loop from docs/LIFECYCLE.md over real HTTP against a
 tiny scenario, asserting at each step:
 
-1. the pre-/v1 deprecation shims answer with ``Deprecation: true``;
-2. ``POST /v1/feedback`` ingests observed outcomes and advances the
+1. ``POST /v1/feedback`` ingests observed outcomes and advances the
    prequential learner deterministically;
-3. a shifted feedback window (inflated power, 20x node counts) forces
+2. a shifted feedback window (inflated power, 20x node counts) forces
    the drift detector to latch and journal a ``drift`` event;
-4. a candidate version registered from the drifted learner state is
+3. a candidate version registered from the drifted learner state is
    shadow-evaluated on live ``/v1/predict`` traffic without ever
    touching the live responses;
-5. ``POST /v1/admin/promote`` flips the active version, records
+4. ``POST /v1/admin/promote`` flips the active version, records
    who/why plus the shadow evidence in the journal, and
    ``GET /v1/models`` agrees with ``GET /v1/admin/history`` about the
    lineage;
-6. ``POST /v1/admin/rollback`` restores the previous version and the
+5. ``POST /v1/admin/rollback`` restores the previous version and the
    served predictions are **bit-identical** to the pre-promote ones.
 
 Exit 0 on success, 1 on any failed assertion (the journal contents are
@@ -94,18 +93,7 @@ def main() -> int:
         print(f"serving {spec.label} on {server.base_url}  "
               f"(journal: {journal_path})")
 
-        print("step 1: deprecation shims")
-        status, headers, _ = http("GET", "/models")
-        check(status == 200, "legacy /models still answers")
-        check(headers.get("Deprecation") == "true",
-              "legacy /models carries Deprecation: true")
-        check("successor-version" in headers.get("Link", ""),
-              "legacy /models links its /v1 successor")
-        status, headers, _ = http("GET", "/v1/models")
-        check(status == 200 and "Deprecation" not in headers,
-              "/v1/models answers without deprecation headers")
-
-        print("step 2: feedback ingest")
+        print("step 1: feedback ingest")
         status, _, out = http("POST", "/v1/feedback",
                               {"jobs": records})
         check(status == 200 and out.get("accepted") == len(records),
@@ -114,7 +102,7 @@ def main() -> int:
         check(isinstance(jobs_seen_once, int) and jobs_seen_once > 0,
               "prequential learner advanced")
 
-        print("step 3: forced drift")
+        print("step 2: forced drift")
         shifted = [
             {**r, "power_w": r["power_w"] * 10.0, "nodes": r["nodes"] * 20}
             for r in records
@@ -128,7 +116,7 @@ def main() -> int:
                         if e["event"] == "drift"]
         check(bool(drift_events), "journal recorded the drift event")
 
-        print("step 4: candidate + shadow evaluation")
+        print("step 3: candidate + shadow evaluation")
         candidate = manager.create_candidate(
             "online", who="smoke", why="post-drift learner state"
         )
@@ -153,7 +141,7 @@ def main() -> int:
         check(bool(report and report["n"] > 0),
               f"shadow evaluated mirrored traffic ({report})")
 
-        print("step 5: promote")
+        print("step 4: promote")
         status, _, out = http("POST", "/v1/admin/promote",
                               {"model": "online", "version": candidate,
                                "who": "smoke", "why": "drift + shadow"})
@@ -174,7 +162,7 @@ def main() -> int:
         check(status == 200 and after["version"] == candidate,
               f"post-promote responses served by v{candidate}")
 
-        print("step 6: rollback bit-identity")
+        print("step 5: rollback bit-identity")
         status, _, out = http("POST", "/v1/admin/rollback",
                               {"model": "online", "who": "smoke",
                                "why": "smoke rollback"})

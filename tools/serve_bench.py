@@ -10,9 +10,9 @@ scheduled send time**, so a stalled server shows up as growing latency
 instead of silently lowering the offered rate (the closed-loop
 "coordinated omission" artifact the previous harness suffered from).
 
-Each request is an NDJSON ``POST /predict/bulk`` carrying ``--bulk``
+Each request is an NDJSON ``POST /v1/predict/bulk`` carrying ``--bulk``
 jobs (one JSON object per line; ``--bulk 1`` switches to single-job
-``POST /predict``). Every response value is compared bit-for-bit
+``POST /v1/predict``). Every response value is compared bit-for-bit
 against a locally fitted :func:`repro.analysis.prediction` BDT oracle —
 the throughput number is only reported if every prediction in the run
 is exactly what ``evaluate_models`` would have produced.
@@ -189,7 +189,7 @@ class _OpenLoopConnection(threading.Thread):
 
 def _run_open_loop(host, port, pool, *, rate, duration, connections, bulk):
     """Offer ``rate`` requests/s for ``duration`` s across connections."""
-    path = "/predict/bulk?model=BDT" if bulk > 1 else "/predict"
+    path = "/v1/predict/bulk?model=BDT" if bulk > 1 else "/v1/predict"
     n_requests = max(1, int(rate * duration))
     per_conn: list[list[tuple[float, int]]] = [[] for _ in range(connections)]
     for i in range(n_requests):
@@ -351,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="timed window length in seconds")
     parser.add_argument("--bulk", type=int, default=64,
                         help="jobs per request; >1 uses NDJSON "
-                        "/predict/bulk, 1 uses /predict")
+                        "/v1/predict/bulk, 1 uses /v1/predict")
     parser.add_argument("--max-batch", type=int, default=64)
     parser.add_argument("--max-wait-ms", type=float, default=2.0)
     parser.add_argument("--cache-dir", type=Path, default=None,
