@@ -38,10 +38,8 @@ serve-smoke:         ## CI smoke: boot the forked pool, short open-loop
 		--horizon-days 2 --max-traces 10 --workers 2 --connections 4 \
 		--rate 50 --duration 3 --json serve-smoke.json
 
-lifecycle-smoke:     ## CI gate: feedback -> drift -> shadow -> promote ->
-                     ## rollback end to end over HTTP; journal kept on
-                     ## failure (docs/LIFECYCLE.md)
-	$(PYTHON) tools/lifecycle_smoke.py
+lifecycle-smoke:     ## CI gate: feedback -> drift -> shadow -> promote -> rollback over HTTP
+	$(PYTHON) tools/smoke.py lifecycle
 
 bench-stream:        ## measure the 1.3M-job streaming build, rewrite BENCH_stream.json
 	$(PYTHON) tools/stream_bench.py --update
@@ -50,29 +48,23 @@ bench-stream-check:  ## CI gate: regression vs baseline + absolute
                      ## floor (15k jobs/s) and RSS ceiling (2 GiB)
 	$(PYTHON) tools/stream_bench.py --check
 
-stream-smoke:        ## CI smoke: small --stream build vs monolithic,
-                     ## dataset bytes must be identical; manifest lands
-                     ## in stream-smoke-manifest.json
-	$(PYTHON) tools/stream_smoke.py
+stream-smoke:        ## CI gate: small --stream build byte-identical to monolithic
+	$(PYTHON) tools/smoke.py stream
 
-gpu-smoke:           ## CI gate: GPU scenario byte-identity (stream vs
-                     ## monolithic) + both heterogeneous tracks graded
-                     ## against the committed SCORECARD_gpu.json
-	$(PYTHON) tools/gpu_smoke.py --check
+gpu-smoke:           ## CI gate: GPU byte-identity + both tracks vs SCORECARD_gpu.json
+	$(PYTHON) tools/smoke.py gpu
 
 gpu-baseline:        ## rerun the gpu smoke and rewrite SCORECARD_gpu.json
-	$(PYTHON) tools/gpu_smoke.py --update
+	$(PYTHON) tools/smoke.py gpu --update
 
-chaos-soak:          ## fault-injection soak: 0 lost requests, all points fire
-	$(PYTHON) tools/chaos_soak.py --duration 20
+chaos-soak:          ## long chaos soak: every point fires, audit_bundle clean
+	$(PYTHON) tools/smoke.py chaos --requests-per-client 1000
 
-chaos-smoke:         ## CI gate: short seeded chaos run (same audit, ~30s)
-	$(PYTHON) tools/chaos_soak.py --duration 6
+chaos-smoke:         ## CI gate: short chaos soak (same audit, a few seconds)
+	$(PYTHON) tools/smoke.py chaos
 
-incidents-smoke:     ## CI gate: 2-scenario graded incident run (control +
-                     ## cache-corrupt) with a digest-determinism check;
-                     ## bundles kept in .incidents-smoke (docs/INCIDENTS.md)
-	$(PYTHON) tools/incidents_smoke.py
+incidents-smoke:     ## CI gate: control + cache-corrupt graded, audited, digest rerun
+	$(PYTHON) tools/smoke.py incidents
 
 incidents-bench:     ## run the full incident catalog, rewrite SCORECARD_incidents.json
 	$(PYTHON) tools/incidents_bench.py

@@ -890,7 +890,10 @@ def _grade_bundles(bundles, detector_name, answers_path, scorecard_path) -> int:
     )
 
     if answers_path is not None:
-        raw = json.loads(Path(answers_path).read_text())
+        try:
+            raw = json.loads(Path(answers_path).read_text())
+        except (OSError, ValueError) as exc:
+            raise IncidentError(f"cannot read answers file {answers_path}: {exc}") from None
         if not isinstance(raw, list):
             raise IncidentError("answers file must hold a JSON list")
         answers = {a.scenario: a for a in map(DetectorAnswer.from_dict, raw)}

@@ -10,11 +10,11 @@ rest of the stack can prove it survives them:
   faults (same seed ⇒ same schedule, bit-for-bit);
 * :class:`~repro.faults.injector.FaultInjector` — context-manager
   arming plus per-point call/fire counters; when nothing is armed every
-  injection point is a single ``None`` check;
-* :mod:`repro.faults.chaos` — the soak engine behind
-  ``tools/chaos_soak.py`` (``make chaos-soak`` / ``chaos-smoke``): an
-  N-client load run against a fault-scheduled server asserting zero
-  lost requests and bounded error rates.
+  injection point is a single ``None`` check.
+
+The chaos soak arms :func:`~repro.faults.plan.soak_plan` under load
+through the incident orchestrator
+(:func:`repro.incidents.soak_scenario`, ``tools/smoke.py chaos``).
 
 The injection-point catalog, plan file format, and degraded-mode
 semantics are documented in docs/FAULTS.md.

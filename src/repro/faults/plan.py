@@ -232,17 +232,17 @@ def soak_plan(
 ) -> FaultPlan:
     """The default all-points chaos plan the soak harness arms.
 
-    Every injection point gets one rule at ``rate`` with an early forced
-    fire (call index 1), so a soak run exercises each point at least
-    once even when a point is only reached a handful of times. Latency
-    points sleep ``latency_s`` per fire.
+    Every injection point gets one rule at ``rate`` with a forced fire
+    on its first call (index 0, the incident catalog's convention), so
+    a soak run exercises every point it reaches at all. Latency points
+    sleep ``latency_s`` per fire.
     """
     chosen = tuple(points) if points is not None else tuple(INJECTION_POINTS)
     rules = tuple(
         FaultRule(
             point,
             rate=rate,
-            force_calls=(1,),
+            force_calls=(0,),
             duration_s=latency_s if point == "batcher.latency" else 0.0,
         )
         for point in chosen

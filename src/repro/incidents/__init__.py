@@ -12,6 +12,8 @@ suites):
   ≥8 replayable incidents (single-point faults, compound storms,
   latency-only degradation, a fault-free control), each a seeded plan
   plus a :class:`~repro.incidents.scenarios.LoadProfile`;
+  :func:`~repro.incidents.scenarios.soak_scenario` is the chaos soak
+  (every point armed at once), kept out of the catalog;
 * :class:`~repro.incidents.harness.ServedSystem` — the one reusable
   start/drive/observe/stop harness around a served system (ephemeral
   ports with bind retry, JSON client, fault arming, metric-delta
@@ -23,6 +25,9 @@ suites):
   every fired fault and an observer snapshots windowed metric deltas;
   everything lands in a self-contained bundle directory whose ground
   truth is *derived* from the ledger (same scenario ⇒ same digest);
+  :func:`~repro.incidents.orchestrator.audit_bundle` checks every
+  bundle against the system's own invariants (nothing lost, counters
+  agree with the ledger, bit-identical recovery);
 * :class:`~repro.incidents.detectors.RuleBasedDetector` /
   :data:`~repro.incidents.detectors.BASELINE_DETECTORS` — the first
   detector family: threshold rules over the observable record (never
@@ -33,9 +38,9 @@ suites):
   recall, zero control false positives).
 
 CLI: ``repro incidents list|run|grade``; ``tools/incidents_bench.py``
-commits the baseline scorecard and ``tools/incidents_smoke.py`` gates
-CI. See docs/INCIDENTS.md for the catalog, bundle format, and grading
-metrics.
+commits the baseline scorecard and ``tools/smoke.py incidents`` /
+``tools/smoke.py chaos`` gate CI. See docs/INCIDENTS.md for the
+catalog, bundle format, and grading metrics.
 
 Every symbol resolves lazily (PEP 562), matching the sibling packages.
 """
@@ -52,11 +57,13 @@ __all__ = [
     "SCENARIOS",
     "Scorecard",
     "ServedSystem",
+    "audit_bundle",
     "get_detector",
     "get_scenario",
     "grade_answer",
     "run_scenario",
     "scenario_names",
+    "soak_scenario",
 ]
 
 # Lazy attribute map (PEP 562): name -> defining module.
@@ -66,9 +73,11 @@ _LAZY_ATTRS = {
     "SCENARIOS": "repro.incidents.scenarios",
     "get_scenario": "repro.incidents.scenarios",
     "scenario_names": "repro.incidents.scenarios",
+    "soak_scenario": "repro.incidents.scenarios",
     "ServedSystem": "repro.incidents.harness",
     "IncidentBundle": "repro.incidents.orchestrator",
     "LedgerInjector": "repro.incidents.orchestrator",
+    "audit_bundle": "repro.incidents.orchestrator",
     "run_scenario": "repro.incidents.orchestrator",
     "BASELINE_DETECTORS": "repro.incidents.detectors",
     "DetectorAnswer": "repro.incidents.detectors",

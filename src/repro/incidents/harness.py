@@ -1,8 +1,8 @@
 """One reusable way to run the served system: start, drive, observe, stop.
 
 Before this module every consumer of the serving stack — the serve/
-faults test suites, the chaos soak, the smoke tools, and now the
-incident orchestrator — hand-rolled the same dance: build a
+faults test suites, the smoke tools and the incident orchestrator —
+hand-rolled the same dance: build a
 :class:`~repro.serve.http.PredictionServer` (or a
 :class:`~repro.serve.forking.ForkingServer` pool), bind an ephemeral
 port, spin the accept loop up in the background, speak
@@ -30,9 +30,11 @@ port raced another process between pick and bind, and the run died on
   deltas its own traffic caused (registry isolation without resetting
   the shared registry).
 
-``tests/helpers/served.py`` wraps this for pytest, and
-:mod:`repro.incidents.orchestrator` drives entire graded incident
-scenarios through it (docs/INCIDENTS.md).
+``tests/helpers/served.py`` wraps this for pytest,
+:mod:`repro.incidents.orchestrator` drives every incident scenario
+through it — the graded catalog and the chaos soak alike — and
+``tools/smoke.py lifecycle`` drives the model lifecycle over it
+(docs/INCIDENTS.md).
 """
 
 from __future__ import annotations

@@ -17,11 +17,16 @@
    artifact reads. An **observer** thread snapshots the process-wide
    metrics registry on a fixed cadence, recording per-window deltas;
    span traces stream to the bundle.
-3. **Bundle.** Everything lands in one self-contained directory —
+3. **Recovery.** Disarmed, a two-record baseline answered during
+   warmup is asked again (after the metrics are snapshotted, so the
+   record does not move) and must come back bit-identical; once the
+   system stops, no batcher may hold a pending request.
+4. **Bundle.** Everything lands in one self-contained directory —
    ``bundle.json`` (scenario, ground truth, digest), ``ledger.jsonl``,
    ``events.jsonl``, ``windows.jsonl``, ``metrics.json``,
    ``trace.jsonl`` — that :mod:`repro.incidents.detectors` can analyze
-   offline and :mod:`repro.incidents.grader` can score.
+   offline, :mod:`repro.incidents.grader` can score and
+   :func:`audit_bundle` can check against the system's own invariants.
 
 Ground truth is *derived*, not declared: the set of points that fired,
 each point's first fired call index, and the schedule-consistency check
@@ -42,12 +47,12 @@ import json
 import pickle
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
 from repro.errors import CacheError, IncidentError
-from repro.faults.chaos import _MALFORMED_BODIES, default_soak_scenario
 from repro.faults.injector import FaultInjector
 from repro.incidents.harness import ServedSystem
 from repro.incidents.scenarios import IncidentScenario, get_scenario
@@ -59,6 +64,7 @@ from repro.spec import ScenarioSpec
 __all__ = [
     "LedgerInjector",
     "IncidentBundle",
+    "audit_bundle",
     "run_scenario",
     "BUNDLE_MANIFEST",
 ]
@@ -74,6 +80,26 @@ _TRACE = "trace.jsonl"
 #: Metric families that carry the answer key. Detectors must ignore
 #: them; the grader uses them only to sanity-check bundles.
 ANSWER_KEY_METRICS = ("repro_fault_calls_total", "repro_fault_fires_total")
+
+#: Bodies a client sends when ``http.malformed`` fires, in rotation.
+_MALFORMED_BODIES = (
+    b'{"jobs": [{"user": "u0", "nodes": 1',  # truncated JSON
+    b"not json at all",
+    b'{"jobs": "not-a-list"}',
+    b'{"jobs": [{"nodes": 1, "req_walltime_s": 60}]}',  # missing user
+    b"[]",  # not an object
+)
+
+#: Bound on (server errors + lost requests) / requests in any bundle.
+MAX_ERROR_RATE = 0.05
+
+
+def default_soak_scenario(seed: int = 3) -> ScenarioSpec:
+    """The small served spec every scenario runs against by default."""
+    return ScenarioSpec(
+        "emmy", seed=seed, num_nodes=24, num_users=10,
+        horizon_days=2, max_traces=10,
+    )
 
 
 class LedgerInjector(FaultInjector):
@@ -174,41 +200,101 @@ class IncidentBundle:
     def load(cls, path: str | Path) -> "IncidentBundle":
         """Read a bundle directory written by :func:`run_scenario`."""
         path = Path(path)
-        manifest_path = path / BUNDLE_MANIFEST
-        if not manifest_path.is_file():
+        if not (path / BUNDLE_MANIFEST).is_file():
             raise IncidentError(f"not an incident bundle: {path}")
-        try:
-            manifest = json.loads(manifest_path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise IncidentError(f"malformed bundle manifest {manifest_path}: {exc}") from None
-        bundle = cls(path=path, manifest=manifest)
-        bundle.ledger = _read_jsonl(path / _LEDGER)
-        bundle.events = _read_jsonl(path / _EVENTS)
-        for window in _read_jsonl(path / _WINDOWS):
+        bundle = cls(path=path, manifest=_read_json(path / BUNDLE_MANIFEST))
+        bundle.ledger = _read_json(path / _LEDGER, lines=True)
+        bundle.events = _read_json(path / _EVENTS, lines=True)
+        for window in _read_json(path / _WINDOWS, lines=True):
             window["series"] = _decode_state(window.get("series", {}))
             bundle.windows.append(window)
-        metrics_path = path / _METRICS
-        if metrics_path.is_file():
-            raw = json.loads(metrics_path.read_text())
+        if (path / _METRICS).is_file():
+            raw = _read_json(path / _METRICS)
             bundle.metrics = {k: _decode_state(v) for k, v in raw.items()}
         return bundle
 
 
-def _read_jsonl(path: Path) -> list[dict[str, Any]]:
-    if not path.is_file():
+def _read_json(path: Path, lines: bool = False) -> Any:
+    """One JSON document, or a JSONL list (``[]`` when absent).
+
+    Anything unreadable raises :class:`IncidentError` naming the file.
+    """
+    if lines and not path.is_file():
         return []
-    out = []
-    for line in path.read_text().splitlines():
-        line = line.strip()
-        if line:
-            out.append(json.loads(line))
-    return out
+    try:
+        text = path.read_text()
+        if not lines:
+            return json.loads(text)
+        return [json.loads(line) for line in text.splitlines() if line.strip()]
+    except (OSError, ValueError) as exc:
+        raise IncidentError(f"malformed bundle file {path}: {exc}") from None
 
 
 def _write_jsonl(path: Path, records: list[dict[str, Any]]) -> None:
     with path.open("w") as fh:
         for record in records:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
+
+
+def audit_bundle(bundle: IncidentBundle) -> list[str]:
+    """The served system's own invariants over one bundle; empty if all hold.
+
+    Every bundle must pass, whatever its scenario injects: no request
+    went unanswered; server errors plus lost requests stay within
+    :data:`MAX_ERROR_RATE`; the ``repro_requests_total`` delta equals
+    the sum of the ``repro_predict_outcomes_total`` deltas; every
+    ``repro_fault_fires_total`` series that moved agrees with the
+    ledger (zero-delta series left by earlier runs are ignored); every
+    armed point fired, on its schedule; the warmup baseline recovered
+    bit-identically; and no future was left pending.
+    """
+    manifest, truth = bundle.manifest, bundle.ground_truth
+    problems = []
+    requests = Counter(
+        e["category"] for e in bundle.events if e.get("kind") == "request"
+    )
+    if requests["lost"]:
+        problems.append(f"{requests['lost']} request(s) got no answer")
+    failed = requests["server_error"] + requests["lost"]
+    total = sum(requests.values())
+    if failed > MAX_ERROR_RATE * total:
+        problems.append(
+            f"{failed} of {total} requests failed, over the "
+            f"{MAX_ERROR_RATE:.0%} bound"
+        )
+    delta = bundle.metric_delta()
+    counted = int(sum(delta.get("repro_requests_total", {}).values()))
+    answered = int(sum(delta.get("repro_predict_outcomes_total", {}).values()))
+    if counted != answered:
+        problems.append(
+            f"repro_requests_total moved by {counted} but the outcome "
+            f"series account for {answered}"
+        )
+    # Series earlier runs created show up here with a zero delta; they
+    # agree with a ledger that has no fires for the point.
+    moved = Counter({
+        labels[0]: int(value)
+        for labels, value in delta.get("repro_fault_fires_total", {}).items()
+    })
+    ledger = Counter(record["point"] for record in bundle.ledger)
+    for point in sorted(set(moved) | set(ledger)):
+        if moved[point] != ledger[point]:
+            problems.append(
+                f"repro_fault_fires_total{{point={point}}} moved by "
+                f"{moved[point]}, the ledger has {ledger[point]}"
+            )
+    unfired = sorted(set(truth["armed_points"]) - set(truth["fired_points"]))
+    if unfired:
+        problems.append(f"armed point(s) never fired: {unfired}")
+    if not truth["schedule_consistent"]:
+        problems.append("fire counts disagree with the plan's schedule")
+    if manifest.get("recovered_identical") is not True:
+        problems.append("post-run predictions differ from the warmup baseline")
+    if manifest.get("stuck_futures") != 0:
+        problems.append(
+            f"stuck futures after stop: {manifest.get('stuck_futures')}"
+        )
+    return problems
 
 
 # -- the observer ----------------------------------------------------------
@@ -460,6 +546,8 @@ def run_scenario(
     """
     import tempfile
 
+    from repro.serve import PredictRequest
+
     if isinstance(scenario, str):
         scenario = get_scenario(scenario)
     spec = spec if spec is not None else default_soak_scenario()
@@ -490,6 +578,11 @@ def run_scenario(
         ) as system:
             service = system.service
             users = sorted(service.registry.get(spec, "BDT").known_users)
+            baseline = PredictRequest(records=(
+                {"user": users[0], "nodes": 2, "req_walltime_s": 3600},
+                {"user": users[-1], "nodes": 4, "req_walltime_s": 7200},
+            ))
+            expected = service.predict_request(baseline).predictions
 
             # Warmup, unarmed: pre-build the overlay dataset (the ops
             # reads and overlay training consume it) and pin the healthy
@@ -555,6 +648,11 @@ def run_scenario(
                 windows = observer.finish()
             duration_s = injector.elapsed()
             metrics_after = REGISTRY.snapshot()
+            # Disarmed and outside the record: the faults have cleared,
+            # so the warmup baseline must come back bit-identical.
+            after = service.predict_request(baseline).predictions
+        # Stopped: closing the batchers fails leftovers, none may linger.
+        stuck_futures = sum(b.pending for b in service._batchers.values())
     finally:
         if scratch is not None:
             scratch.cleanup()
@@ -570,6 +668,8 @@ def run_scenario(
         "wall_seconds": round(time.perf_counter() - t_wall, 3),
         "n_events": len(events),
         "n_windows": len(windows),
+        "recovered_identical": expected.tobytes() == after.tobytes(),
+        "stuck_futures": stuck_futures,
         "ground_truth": truth,
         "digest": _bundle_digest(scenario, spec, truth),
     }

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, fields
 from typing import Any, Mapping
 
 from repro.errors import IncidentError
-from repro.faults.plan import FaultPlan, FaultRule
+from repro.faults.plan import FaultPlan, FaultRule, soak_plan
 
 __all__ = [
     "LoadProfile",
@@ -41,6 +41,7 @@ __all__ = [
     "SCENARIOS",
     "get_scenario",
     "scenario_names",
+    "soak_scenario",
 ]
 
 
@@ -279,6 +280,26 @@ SCENARIOS: dict[str, IncidentScenario] = {
         ),
     )
 }
+
+
+def soak_scenario(seed: int = 0, requests_per_client: int = 24) -> IncidentScenario:
+    """The chaos soak: every injection point armed at once under load.
+
+    Arms :func:`~repro.faults.plan.soak_plan` with enough overlay
+    traffic and operator rounds that all eight points are reached. It
+    is kept out of :data:`SCENARIOS`: the catalog grades detectors on
+    isolated faults, the soak proves the system survives them all
+    (``tools/smoke.py chaos`` gates it with ``audit_bundle``).
+    """
+    return IncidentScenario(
+        name="soak",
+        description=f"Every injection point armed (soak_plan seed {seed}).",
+        plan=soak_plan(seed),
+        load=LoadProfile(
+            n_clients=4, requests_per_client=requests_per_client,
+            overlay_every=8, ops_rounds=6, reads_per_round=3,
+        ),
+    )
 
 
 def scenario_names() -> tuple[str, ...]:

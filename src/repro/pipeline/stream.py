@@ -32,7 +32,7 @@ scheduler's live frontier at a time:
 
 Byte-identity with the monolithic writer is enforced by
 ``tests/pipeline/test_stream.py`` (hypothesis, across seeds and chunk
-sizes) and by the CI ``stream-smoke`` job.
+sizes) and by ``tools/smoke.py stream`` in CI.
 """
 
 from __future__ import annotations

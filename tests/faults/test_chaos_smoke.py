@@ -1,14 +1,13 @@
-"""A short in-test soak: the chaos harness itself must hold its invariants.
+"""The plan the chaos smoke arms: ``soak_plan`` is seeded and replayable.
 
-``make chaos-soak`` runs the long version; this smoke keeps the same
-audit (zero lost requests, schedule consistency, bit-identical recovery)
-inside the tier-1 suite at a few seconds of wall time.
+The soak itself runs through the incident orchestrator
+(``repro.incidents.soak_scenario``); its end-to-end audit lives in
+``tests/incidents/test_run_scenario.py``.
 """
 
 from __future__ import annotations
 
 from repro.faults import FaultPlan, soak_plan
-from repro.faults.chaos import ChaosReport, run_soak
 
 
 def test_soak_plans_are_reproducible():
@@ -28,21 +27,3 @@ def test_soak_plan_round_trips_through_json(tmp_path):
     path = tmp_path / "plan.json"
     plan.save(path)
     assert FaultPlan.load(path) == plan
-
-
-def test_short_soak_passes_the_audit(tmp_path):
-    report = run_soak(
-        seed=5, duration_s=3.0, n_clients=3, rate=0.2, cache_dir=tmp_path
-    )
-    assert isinstance(report, ChaosReport)
-    assert report.passed, report.problems()
-    assert report.counts["lost"] == 0
-    assert report.stuck_futures == 0
-    assert report.total > 0
-    assert report.recovered_identical
-    assert report.schedule_consistent
-    # The serialized report is self-contained for CI artifacts.
-    as_dict = report.to_dict()
-    assert as_dict["counts"] == report.counts
-    assert as_dict["passed"] is True
-    assert "lost=0" in report.summary()

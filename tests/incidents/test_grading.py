@@ -2,8 +2,9 @@
 
 No servers here — bundles are constructed in memory with exactly the
 evidence under test, so each detector rule's trigger condition, the
-grader's precision/recall/time-to-detect conventions, and the
-scorecard's headline gates are pinned one edge at a time.
+grader's precision/recall/time-to-detect conventions, the scorecard's
+headline gates and each invariant of the bundle audit are pinned one
+edge at a time.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from repro.incidents.detectors import (
     get_detector,
 )
 from repro.incidents.grader import Scorecard, grade_answer
-from repro.incidents.orchestrator import IncidentBundle
+from repro.incidents.orchestrator import IncidentBundle, audit_bundle
 
 RULES = BASELINE_DETECTORS["rules"]
 
@@ -277,3 +278,77 @@ def test_scorecard_rejects_foreign_grades_and_empty_runs():
     assert card.problems() == ["no scenarios were graded"]
     with pytest.raises(IncidentError, match="scorecard"):
         card.add(_grade("control", {}, {}, detector="conservative"))
+
+
+# -- the bundle audit ------------------------------------------------------
+
+
+def _audited_bundle():
+    """A synthetic bundle that passes every invariant audit_bundle checks."""
+    bundle = mk_bundle(
+        name="cache-read",
+        fired=_truth("cache.read"),
+        events=[{"kind": "request", "category": "ok"}] * 20,
+        delta={
+            "repro_requests_total": {(): 20.0},
+            "repro_predict_outcomes_total": {("ok",): 20.0, ("failed",): 0.0},
+            # A zero-delta series left by an earlier run is not a mismatch.
+            "repro_fault_fires_total": {("cache.read",): 3.0, ("cache.write",): 0.0},
+        },
+    )
+    bundle.ledger = [{"point": "cache.read", "call": n, "t": 0.1} for n in range(3)]
+    bundle.manifest.update(recovered_identical=True, stuck_futures=0)
+    return bundle
+
+
+def _lose(b):
+    b.events.append({"kind": "request", "category": "lost"})
+
+
+def _fail(b):
+    b.events.extend([{"kind": "request", "category": "server_error"}] * 2)
+
+
+def _miscount(b):
+    b.metrics["delta"]["repro_requests_total"] = {(): 21.0}
+
+
+def _drop_ledger_record(b):
+    b.ledger.pop()
+
+
+def _arm_unfired(b):
+    b.ground_truth["armed_points"].append("cache.write")
+
+
+def _break_schedule(b):
+    b.ground_truth["schedule_consistent"] = False
+
+
+def _diverge(b):
+    b.manifest["recovered_identical"] = False
+
+
+def _strand(b):
+    b.manifest["stuck_futures"] = 2
+
+
+@pytest.mark.parametrize(
+    "breaks, problem",
+    [
+        (_lose, "1 request(s) got no answer"),
+        (_fail, "2 of 22 requests failed"),
+        (_miscount, "outcome series account for 20"),
+        (_drop_ledger_record, "point=cache.read} moved by 3, the ledger has 2"),
+        (_arm_unfired, "never fired: ['cache.write']"),
+        (_break_schedule, "schedule"),
+        (_diverge, "warmup baseline"),
+        (_strand, "stuck futures after stop: 2"),
+    ],
+)
+def test_audit_bundle_flags_each_broken_invariant(breaks, problem):
+    bundle = _audited_bundle()
+    assert audit_bundle(bundle) == []
+    breaks(bundle)
+    problems = audit_bundle(bundle)
+    assert len(problems) == 1 and problem in problems[0], problems

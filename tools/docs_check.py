@@ -19,7 +19,9 @@ by docs/LIFECYCLE.md; that the incident-benchmark surface
 the heterogeneous-scenario catalog (every registered system, every
 evaluation track, every exit-code constant) is covered by
 docs/SCENARIOS.md. Finally, README.md and docs/*.md may name only HTTP
-routes the server serves (the route table in ``repro.serve.http``).
+routes the server serves (the route table in ``repro.serve.http``), and
+they and the verify skill may name only ``tools/*.py`` scripts that
+exist and ``make`` targets the Makefile defines.
 Run via ``make docs-check``.
 """
 
@@ -42,9 +44,14 @@ LIFECYCLE_DOC = REPO_ROOT / "docs" / "LIFECYCLE.md"
 INCIDENTS_DOC = REPO_ROOT / "docs" / "INCIDENTS.md"
 SCENARIOS_DOC = REPO_ROOT / "docs" / "SCENARIOS.md"
 PACKAGE_ROOT = REPO_ROOT / "src" / "repro"
+SKILL_DOC = REPO_ROOT / ".claude" / "skills" / "verify" / "SKILL.md"
 
 #: A ``/v1/...`` path as docs write it; the match stops at a query string.
 _V1_PATH = re.compile(r"/v1(?:/[\w-]+)+")
+#: Fenced blocks and inline code spans: where docs spell out commands.
+_CODE = re.compile(r"```.*?```|`[^`]+`", re.S)
+_TOOL = re.compile(r"tools/(\w+\.py)")
+_MAKE = re.compile(r"\bmake\s+([\w-]+)")
 
 
 def check_docstrings(module_name: str) -> list[str]:
@@ -203,6 +210,34 @@ def check_routes() -> list[str]:
     return problems
 
 
+def check_tools() -> list[str]:
+    """``tools/*.py`` scripts and ``make`` targets the docs name but lack.
+
+    README.md, docs/*.md and the verify skill may name only scripts that
+    exist under ``tools/`` and targets the Makefile defines, so a deleted
+    script or target fails here until its last mention goes too. Targets
+    are read from code spans only, where prose cannot say "make sure".
+    """
+    makefile = (REPO_ROOT / "Makefile").read_text()
+    targets = set(re.findall(r"^([\w-]+):", makefile, re.M))
+    docs = (REPO_ROOT / "README.md", *sorted((REPO_ROOT / "docs").glob("*.md")), SKILL_DOC)
+    problems = []
+    for doc in (d for d in docs if d.is_file()):
+        text = doc.read_text()
+        where = doc.relative_to(REPO_ROOT)
+        problems += [
+            f"{where}: tools/{name} does not exist"
+            for name in sorted(set(_TOOL.findall(text)))
+            if not (REPO_ROOT / "tools" / name).is_file()
+        ]
+        problems += [
+            f"{where}: `make {name}` is not a Makefile target"
+            for name in sorted(set(_MAKE.findall(" ".join(_CODE.findall(text)))))
+            if name not in targets
+        ]
+    return problems
+
+
 def main() -> int:
     problems: list[str] = []
     for module_name in ("repro", "repro.pipeline", "repro.faults", "repro.obs",
@@ -231,6 +266,8 @@ def main() -> int:
         problems.append(f"absent from docs/SCENARIOS.md: {name}")
     for problem in check_routes():
         problems.append(f"route not served: {problem}")
+    for problem in check_tools():
+        problems.append(f"unknown tool or target: {problem}")
 
     if problems:
         print(f"docs-check: {len(problems)} problem(s)", file=sys.stderr)

@@ -15,8 +15,13 @@ scenarios, so any drift means a scenario, the spec, or the injection
 behavior changed — re-run without ``--check`` deliberately after such a
 change).
 
-Exit 0 when the gates pass (and, with ``--check``, digests match);
-1 otherwise.
+In both modes every bundle must also pass
+``repro.incidents.audit_bundle`` (nothing lost, counters agree with
+the ledger, bit-identical recovery), so a scenario that breaks the
+system's own invariants fails here and not only in the chaos smoke.
+
+Exit 0 when the gates and the audit pass (and, with ``--check``,
+digests match); 1 otherwise.
 
 Usage::
 
@@ -50,12 +55,14 @@ def main() -> int:
     args = parser.parse_args()
 
     from repro.incidents import (
-        Scorecard, get_detector, grade_answer, run_scenario, scenario_names,
+        Scorecard, audit_bundle, get_detector, grade_answer, run_scenario,
+        scenario_names,
     )
 
     detector = get_detector(args.detector)
     card = Scorecard(detector=detector.name)
     digests: dict[str, str] = {}
+    problems: list[str] = []
     with tempfile.TemporaryDirectory(prefix="repro-incidents-bench-") as tmp:
         out_dir = Path(tmp) / "bundles"
         cache_dir = Path(tmp) / "cache"
@@ -64,9 +71,12 @@ def main() -> int:
                 name, out_dir, cache_dir=cache_dir, verbose=True
             )
             digests[name] = bundle.digest
+            problems += [f"{name}: {p}" for p in audit_bundle(bundle)]
             card.add(grade_answer(bundle, detector.analyze(bundle)))
 
     print(card.summary())
+    for problem in problems:
+        print(f"[incidents-bench] audit: {problem}", file=sys.stderr)
     record = {"digests": digests, **card.to_dict()}
 
     if args.check:
@@ -92,7 +102,7 @@ def main() -> int:
         args.out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
         print(f"[incidents-bench] scorecard written to {args.out}")
 
-    return 0 if card.passed else 1
+    return 0 if card.passed and not problems else 1
 
 
 if __name__ == "__main__":
