@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint coverage bench bench-check bench-smoke serve-bench serve-bench-check serve-smoke lifecycle-smoke bench-stream bench-stream-check stream-smoke gpu-smoke gpu-baseline chaos-soak chaos-smoke incidents-smoke incidents-bench incidents-bench-check incidents-sweep docs-check pipeline clean-cache all
+.PHONY: test lint coverage bench-smoke lifecycle-smoke stream-smoke gpu-smoke gpu-baseline chaos-soak chaos-smoke incidents-smoke incidents-bench incidents-bench-check incidents-sweep docs-check pipeline clean-cache all
 
 all: lint test docs-check
 
@@ -16,37 +16,11 @@ lint:                ## ruff when installed, stdlib fallback linter otherwise
 coverage:            ## tier-1 suite under pytest-cov, gated at the pyproject floor
 	$(PYTHON) tools/coverage_gate.py
 
-bench:               ## measure the hot path, rewrite BENCH_dataset.json
-	$(PYTHON) tools/perf_check.py --update
-
-bench-check:         ## CI gate: fail on >25% throughput regression
-	$(PYTHON) tools/perf_check.py --check
-
 bench-smoke:         ## one cheap benchmark end-to-end (cache-backed fixtures)
 	$(PYTHON) -m pytest benchmarks/bench_table2_correlation.py -q
 
-serve-bench:         ## measure the serving hot path, rewrite BENCH_serve.json
-	$(PYTHON) tools/serve_bench.py --update
-
-serve-bench-check:   ## CI gate: fail on >25% predictions/s regression
-	$(PYTHON) tools/serve_bench.py --check
-
-serve-smoke:         ## CI smoke: boot the forked pool, short open-loop
-                     ## burst, verify bit-identity; histogram lands in
-                     ## serve-smoke.json
-	$(PYTHON) tools/serve_bench.py --num-nodes 24 --num-users 10 \
-		--horizon-days 2 --max-traces 10 --workers 2 --connections 4 \
-		--rate 50 --duration 3 --json serve-smoke.json
-
 lifecycle-smoke:     ## CI gate: feedback -> drift -> shadow -> promote -> rollback over HTTP
 	$(PYTHON) tools/smoke.py lifecycle
-
-bench-stream:        ## measure the 1.3M-job streaming build, rewrite BENCH_stream.json
-	$(PYTHON) tools/stream_bench.py --update
-
-bench-stream-check:  ## CI gate: regression vs baseline + absolute
-                     ## floor (15k jobs/s) and RSS ceiling (2 GiB)
-	$(PYTHON) tools/stream_bench.py --check
 
 stream-smoke:        ## CI gate: small --stream build byte-identical to monolithic
 	$(PYTHON) tools/smoke.py stream

@@ -43,16 +43,11 @@ import time
 from pathlib import Path
 
 from repro.errors import IncidentError, ObsError, PipelineError
-from repro.spec import ScenarioSpec
+from repro.spec import SYSTEM_NAMES, ScenarioSpec
 
 __all__ = ["main", "build_parser"]
 
 _SPEC_DEFAULTS = ScenarioSpec()
-
-# Mirrors repro.cluster.known_systems() — spelled out here so building
-# the parser never imports the (numpy-heavy) cluster package; a test
-# pins the two lists together.
-_SYSTEM_CHOICES = ("alex", "emmy", "meggie", "woody")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -67,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
         # One flag per ScenarioSpec field, defaults taken from the spec
         # itself so the CLI can never drift from the canonical scenario
         # description.
-        p.add_argument("--system", choices=_SYSTEM_CHOICES,
+        p.add_argument("--system", choices=SYSTEM_NAMES,
                        default=_SPEC_DEFAULTS.system)
         p.add_argument("--seed", type=int, default=_SPEC_DEFAULTS.seed)
         p.add_argument("--num-nodes", type=int, default=_SPEC_DEFAULTS.num_nodes,

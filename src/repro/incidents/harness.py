@@ -48,6 +48,7 @@ from typing import Any, Iterator, Mapping
 from repro.errors import IncidentError
 from repro.faults.injector import FaultInjector
 from repro.obs.metrics import REGISTRY, MetricsRegistry
+from repro.spec import ScenarioSpec
 
 __all__ = ["ServedSystem"]
 
@@ -58,9 +59,8 @@ class ServedSystem:
     Parameters
     ----------
     scenario:
-        The :class:`~repro.spec.ScenarioSpec` (or system name) the
-        service answers for. Ignored when a prebuilt ``service`` is
-        passed.
+        The :class:`~repro.spec.ScenarioSpec` the service answers for.
+        Ignored when a prebuilt ``service`` is passed.
     service:
         An existing :class:`~repro.serve.service.PredictionService` to
         serve instead of building one — the serve-suite tests use this
@@ -86,7 +86,7 @@ class ServedSystem:
 
     def __init__(
         self,
-        scenario: Any = "emmy",
+        scenario: ScenarioSpec = ScenarioSpec(),
         *,
         service=None,
         workers: int = 1,

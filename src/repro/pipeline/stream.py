@@ -4,7 +4,8 @@ The monolithic :func:`repro.pipeline.stages.run_shard` materializes the
 whole job stream, schedule, and telemetry sample in memory — fine at the
 paper's 41k-job scale, a wall at millions of jobs. This module builds
 the *same artifact, byte for byte*, holding only one chunk plus the
-scheduler's live frontier at a time:
+scheduler's live frontier at a time until compaction, which reads every
+chunk's job and sample tables to merge them (docs/PIPELINE.md):
 
 1. **Plan** — the workload is generated once into a columnar
    :class:`~repro.workload.generator.WorkloadPlan` (~32 bytes/job) and

@@ -34,9 +34,8 @@ long-lived concurrent service rather than an offline batch evaluation:
   fleet-aggregated ``/v1/metrics``, supervised restarts, graceful
   shutdown (``repro-power serve --workers N``).
 
-See docs/SERVICE.md for endpoints, batching knobs, cache layout, and
-the load-generator harness (``tools/serve_bench.py``); docs/LIFECYCLE.md
-covers the feedback/drift/promote loop.
+See docs/SERVICE.md for endpoints, batching knobs and cache layout;
+docs/LIFECYCLE.md covers the feedback/drift/promote loop.
 
 Every symbol resolves lazily (PEP 562) so importing :mod:`repro` or the
 CLI's bookkeeping commands never pays for numpy or the ML layer.

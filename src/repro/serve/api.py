@@ -37,8 +37,9 @@ class PredictRequest:
     model:
         Model name from :data:`repro.serve.registry.SERVE_MODELS`.
     scenario:
-        Optional scenario override/overlay, anything
-        :meth:`PredictionService.resolve_scenario` accepts.
+        Optional scenario overlay: a mapping of the
+        :class:`~repro.spec.ScenarioSpec` fields to change, or ``None``
+        (:meth:`PredictionService.resolve_scenario`).
     mode:
         ``"batched"`` (default — coalescing micro-batcher) or ``"bulk"``
         (one vectorized call, no queue).

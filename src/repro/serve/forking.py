@@ -51,7 +51,7 @@ from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from repro.errors import ServeError
-from repro.spec import ScenarioSpec, as_scenario
+from repro.spec import ScenarioSpec
 
 __all__ = ["WorkerConfig", "ForkingServer", "worker_main"]
 
@@ -203,8 +203,8 @@ class ForkingServer:
     Parameters
     ----------
     scenario:
-        The :class:`~repro.spec.ScenarioSpec` (or system name) every
-        worker serves as its default scenario.
+        The :class:`~repro.spec.ScenarioSpec` every worker serves as its
+        default scenario.
     workers:
         Worker process count. Each runs a complete single-process stack.
     host / port:
@@ -227,7 +227,7 @@ class ForkingServer:
 
     def __init__(
         self,
-        scenario: "ScenarioSpec | Mapping | str" = "emmy",
+        scenario: ScenarioSpec,
         workers: int = 2,
         host: str = "127.0.0.1",
         port: int = 0,
@@ -244,7 +244,7 @@ class ForkingServer:
         if workers < 1:
             raise ServeError("workers must be >= 1")
         _require_reuseport()
-        self.scenario = as_scenario(scenario)
+        self.scenario = scenario
         self.workers = workers
         self.host = host
         self._requested_port = port

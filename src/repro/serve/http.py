@@ -55,6 +55,7 @@ from repro.obs.metrics import REGISTRY, render_merged
 from repro.serve.api import PredictRequest
 from repro.serve.registry import ModelRegistry
 from repro.serve.service import PredictionService
+from repro.spec import ScenarioSpec
 
 __all__ = ["PredictionServer", "create_server"]
 
@@ -297,8 +298,6 @@ class _Handler(BaseHTTPRequestHandler):
                 raise ServeError(
                     f"scenario query param is not JSON: {exc}"
                 ) from None
-            if not isinstance(scenario, Mapping):
-                raise ServeError("scenario query param must be a JSON object")
         version = None
         if "version" in params:
             try:
@@ -482,7 +481,7 @@ class PredictionServer(ThreadingHTTPServer):
 
 
 def create_server(
-    scenario="emmy",
+    scenario: ScenarioSpec,
     host: str = "127.0.0.1",
     port: int = 0,
     cache_dir=None,
@@ -496,9 +495,9 @@ def create_server(
 ) -> PredictionServer:
     """Build a ready-to-serve :class:`PredictionServer` for one scenario.
 
-    ``scenario`` is a :class:`~repro.spec.ScenarioSpec` (or a system
-    name). ``warm`` names models to train/load before the socket starts
-    answering (e.g. ``("BDT",)``). ``lifecycle=True`` (or a
+    ``scenario`` is a :class:`~repro.spec.ScenarioSpec`. ``warm`` names
+    models to train/load before the socket starts answering (e.g.
+    ``("BDT",)``). ``lifecycle=True`` (or a
     ``lifecycle_dir``) attaches a
     :class:`~repro.serve.lifecycle.ModelLifecycle`, enabling
     ``/v1/feedback``, shadow evaluation, and the admin verbs
@@ -506,9 +505,6 @@ def create_server(
     ``serve_forever`` (or :meth:`PredictionServer.serve_in_background`)
     and :meth:`PredictionServer.close`.
     """
-    from repro.spec import as_scenario
-
-    spec = as_scenario(scenario)
     if registry is None:
         registry = ModelRegistry(cache_dir=cache_dir)
     manager = None
@@ -516,10 +512,10 @@ def create_server(
         from repro.serve.lifecycle import ModelLifecycle
 
         manager = ModelLifecycle(
-            spec, registry=registry, lifecycle_dir=lifecycle_dir
+            scenario, registry=registry, lifecycle_dir=lifecycle_dir
         )
     service = PredictionService(
-        spec,
+        scenario,
         registry=registry,
         max_batch=max_batch,
         max_wait_s=max_wait_ms / 1e3,

@@ -53,7 +53,7 @@ from repro.obs.logs import JsonLogger
 from repro.obs.metrics import REGISTRY, MetricsRegistry
 from repro.obs.tracing import trace_span
 from repro.serve.registry import SERVE_MODELS, ModelRegistry, OnlineServable
-from repro.spec import as_scenario
+from repro.spec import ScenarioSpec
 
 __all__ = [
     "LineageJournal",
@@ -422,8 +422,7 @@ class ModelLifecycle:
     Parameters
     ----------
     scenario:
-        The scenario this manager governs (anything
-        :func:`repro.spec.as_scenario` accepts).
+        The :class:`~repro.spec.ScenarioSpec` this manager governs.
     registry:
         The :class:`~repro.serve.registry.ModelRegistry` versions are
         stored in (shared with the service); built against ``cache_dir``
@@ -449,7 +448,7 @@ class ModelLifecycle:
 
     def __init__(
         self,
-        scenario: "ScenarioSpec | Mapping | str" = "emmy",
+        scenario: ScenarioSpec,
         registry: ModelRegistry | None = None,
         cache_dir=None,
         lifecycle_dir=None,
@@ -463,7 +462,7 @@ class ModelLifecycle:
         journal_poll_s: float = 0.05,
         fsync: bool = True,
     ) -> None:
-        self.scenario = as_scenario(scenario)
+        self.scenario = scenario
         self.registry = registry or ModelRegistry(cache_dir=cache_dir)
         for model in watch_models:
             self.registry.check_model_name(model)

@@ -49,7 +49,7 @@ from repro.errors import CacheError, ServeError, ValidationError
 from repro.faults.injector import maybe_fire
 from repro.obs.metrics import DEFAULT_SECONDS_BUCKETS, REGISTRY
 from repro.obs.tracing import trace_span
-from repro.spec import ScenarioSpec, as_scenario
+from repro.spec import ScenarioSpec
 
 __all__ = [
     "MODEL_STAGE",
@@ -289,16 +289,14 @@ class ModelRegistry:
 
     # -- lookup / training -----------------------------------------------
 
-    def get(self, scenario, model: str = "BDT", version: int = 1):
+    def get(self, spec: ScenarioSpec, model: str = "BDT", version: int = 1):
         """The fitted predictor for (scenario, model, version).
 
-        ``scenario`` is anything :func:`repro.spec.as_scenario` accepts.
         Version 1 trains on first use; versions 2+ are immutable
         lifecycle snapshots and raise :class:`~repro.errors.ServeError`
         when their artifact is missing (they cannot be re-derived).
         Thread-safe; concurrent misses on the same key train once.
         """
-        spec = as_scenario(scenario)
         self.check_model_name(model)
         version = self.check_version(version)
         key = (spec.dataset_digest, model, _MODEL_VERSIONS[model], version)
@@ -333,7 +331,7 @@ class ModelRegistry:
                 self._lru.popitem(last=False)
             return servable
 
-    def put(self, scenario, model: str, servable, version: int, meta=None):
+    def put(self, spec: ScenarioSpec, model: str, servable, version: int, meta=None):
         """Commit an immutable lineage snapshot as ``version``.
 
         The lifecycle layer calls this to freeze a candidate (e.g. the
@@ -343,7 +341,6 @@ class ModelRegistry:
         key (also stored in the journal's ``register`` event as
         ``trained_at_key``).
         """
-        spec = as_scenario(scenario)
         self.check_model_name(model)
         version = self.check_version(version)
         disk_key = self.model_key(spec, model, version)
@@ -364,9 +361,8 @@ class ModelRegistry:
                 self._lru.popitem(last=False)
         return disk_key
 
-    def has_version(self, scenario, model: str, version: int) -> bool:
+    def has_version(self, spec: ScenarioSpec, model: str, version: int) -> bool:
         """Is this lineage version available (warm or on disk)?"""
-        spec = as_scenario(scenario)
         self.check_model_name(model)
         version = self.check_version(version)
         if version == 1:
@@ -379,9 +375,8 @@ class ModelRegistry:
                 MODEL_STAGE, self.model_key(spec, model, version)
             )
 
-    def versions(self, scenario, model: str) -> list[int]:
+    def versions(self, spec: ScenarioSpec, model: str) -> list[int]:
         """Sorted lineage versions available for (scenario, model)."""
-        spec = as_scenario(scenario)
         self.check_model_name(model)
         found = {1}
         with self._lock:
@@ -402,14 +397,13 @@ class ModelRegistry:
                 pass
         return sorted(found)
 
-    def train(self, scenario, model: str):
+    def train(self, spec: ScenarioSpec, model: str):
         """Train a fresh (unspecialized) servable from the frozen dataset.
 
         Deterministic given the scenario: the lifecycle layer uses this
         to mint new estimator candidates without touching the LRU or the
         cache (committing the result is :meth:`put`'s job).
         """
-        spec = as_scenario(scenario)
         self.check_model_name(model)
         return self._train(spec, model)
 
@@ -539,14 +533,13 @@ class ModelRegistry:
                 self.dataset_fallbacks += 1
         return generate_dataset(**spec.dataset_kwargs())
 
-    def fallback(self, scenario) -> MeanPowerServable:
+    def fallback(self, spec: ScenarioSpec) -> MeanPowerServable:
         """The degraded-mode mean-power baseline for a scenario.
 
         Preferred source is the scenario dataset's own mean per-node
         power (deterministic); if even that cannot be built, a constant
         fraction of the system's TDP keeps the service answering.
         """
-        spec = as_scenario(scenario)
         with self._lock:
             servable = self._fallbacks.get(spec.dataset_digest)
             if servable is not None:

@@ -40,7 +40,7 @@ from repro.obs.tracing import trace_span
 from repro.serve.api import PredictRequest, PredictResponse
 from repro.serve.batching import MicroBatcher
 from repro.serve.registry import ModelRegistry
-from repro.spec import ScenarioSpec, as_scenario
+from repro.spec import ScenarioSpec
 
 __all__ = ["PredictionService"]
 
@@ -82,8 +82,7 @@ class PredictionService:
     ----------
     scenario:
         The default :class:`~repro.spec.ScenarioSpec` requests are
-        answered against (anything :func:`repro.spec.as_scenario`
-        accepts). Individual requests may override it.
+        answered against. Individual requests may overlay fields on it.
     registry:
         Share a :class:`ModelRegistry` across services, or let the
         service build its own against ``cache_dir``.
@@ -100,7 +99,7 @@ class PredictionService:
 
     def __init__(
         self,
-        scenario: "ScenarioSpec | Mapping | str" = "emmy",
+        scenario: ScenarioSpec,
         registry: ModelRegistry | None = None,
         cache_dir=None,
         max_batch: int = 64,
@@ -108,7 +107,7 @@ class PredictionService:
         max_queue: int = 4096,
         lifecycle=None,
     ) -> None:
-        self.scenario = as_scenario(scenario)
+        self.scenario = scenario
         self.registry = registry or ModelRegistry(cache_dir=cache_dir)
         self.lifecycle = lifecycle
         self.max_batch = max_batch
@@ -425,17 +424,24 @@ class PredictionService:
         return self.lifecycle.feedback(records)
 
     def resolve_scenario(self, scenario) -> ScenarioSpec:
-        """The effective spec for a request's optional scenario overlay."""
+        """The effective spec for a request's optional scenario overlay.
+
+        ``None`` is the service's own scenario; a mapping overlays the
+        fields it names on it. Anything else raises
+        :class:`~repro.errors.ServeError`.
+        """
         if scenario is None:
             return self.scenario
-        if isinstance(scenario, Mapping):
-            # Overlay: the request names only the fields it changes.
-            base = self.scenario.to_dict()
-            overlay = dict(scenario)
-            if "horizon_s" in overlay:
-                base.pop("horizon_days", None)
-            return ScenarioSpec.from_dict({**base, **overlay})
-        return as_scenario(scenario)
+        if not isinstance(scenario, Mapping):
+            raise ServeError(
+                "scenario must be a JSON object of ScenarioSpec fields, "
+                f"got {type(scenario).__name__}"
+            )
+        base = self.scenario.to_dict()
+        overlay = dict(scenario)
+        if "horizon_s" in overlay:
+            base.pop("horizon_days", None)
+        return ScenarioSpec.from_dict({**base, **overlay})
 
     def warm(self, models: Sequence[str] = ("BDT",)) -> dict[str, str]:
         """Train/load the given models for the default scenario up front.

@@ -23,14 +23,34 @@ normalizes either style into a ``ScenarioSpec``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
+from numbers import Integral, Real
 from typing import Any, Mapping
 
 from repro.errors import ScenarioError
 
-__all__ = ["DAY_S", "ScenarioSpec", "as_scenario"]
+__all__ = ["DAY_S", "SYSTEM_NAMES", "ScenarioSpec", "as_scenario"]
 
 DAY_S = 86400
+
+#: The built-in system names. Mirrors :func:`repro.cluster.known_systems`,
+#: spelled out so this module never imports the (numpy-heavy) cluster
+#: package; a test pins the two together.
+SYSTEM_NAMES = ("alex", "emmy", "meggie", "woody")
+
+
+def _is_int(value: Any) -> bool:
+    """An integer (numpy integers included), but not a bool."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def _is_number(value: Any) -> bool:
+    """A finite real number, but not a bool."""
+    return (
+        isinstance(value, Real) and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
 
 
 @dataclass(frozen=True)
@@ -57,16 +77,28 @@ class ScenarioSpec:
     max_traces: int = 2000
 
     def __post_init__(self) -> None:
-        if not self.system or not isinstance(self.system, str):
-            raise ScenarioError("scenario needs a system name")
-        if self.num_nodes is not None and self.num_nodes < 1:
-            raise ScenarioError("num_nodes must be >= 1")
-        if self.num_users is not None and self.num_users < 1:
-            raise ScenarioError("num_users must be >= 1")
-        if self.horizon_days is not None and self.horizon_days <= 0:
-            raise ScenarioError("horizon_days must be positive")
-        if self.max_traces < 0:
-            raise ScenarioError("max_traces must be >= 0")
+        # Fields arrive from HTTP overlays too, so a wrong type is a
+        # caller mistake (ScenarioError), not a crash further down.
+        if not isinstance(self.system, str) or self.system.lower() not in SYSTEM_NAMES:
+            raise ScenarioError(
+                f"unknown system {self.system!r}; known: {list(SYSTEM_NAMES)}"
+            )
+        if not (_is_int(self.seed) and self.seed >= 0):
+            raise ScenarioError(f"seed must be an integer >= 0, got {self.seed!r}")
+        for name in ("num_nodes", "num_users"):
+            value = getattr(self, name)
+            if value is not None and not (_is_int(value) and value >= 1):
+                raise ScenarioError(f"{name} must be an integer >= 1, got {value!r}")
+        if self.horizon_days is not None and not (
+            _is_number(self.horizon_days) and self.horizon_days > 0
+        ):
+            raise ScenarioError(
+                f"horizon_days must be a positive number, got {self.horizon_days!r}"
+            )
+        if not (_is_int(self.max_traces) and self.max_traces >= 0):
+            raise ScenarioError(
+                f"max_traces must be an integer >= 0, got {self.max_traces!r}"
+            )
 
     # -- derived views ---------------------------------------------------
 
@@ -139,6 +171,8 @@ class ScenarioSpec:
             if horizon_s is not None:
                 if "horizon_days" in data and data["horizon_days"] is not None:
                     raise ScenarioError("pass horizon_days or horizon_s, not both")
+                if not _is_number(horizon_s):
+                    raise ScenarioError(f"horizon_s must be a number, got {horizon_s!r}")
                 data["horizon_days"] = horizon_s / DAY_S
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(data) - known)

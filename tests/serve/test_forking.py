@@ -119,16 +119,21 @@ def test_bulk_endpoint_identical_across_workers(pool, tiny_records):
         assert values == baseline, f"worker {worker} bulk bits diverged"
 
 
+def _fleet_requests(pool) -> float:
+    """The fleet-merged ``repro_requests_total`` on ``/v1/metrics`` (0
+    until a worker has counted a request)."""
+    status, _, data = _request(pool, "GET", "/v1/metrics")
+    assert status == 200
+    line = next((l for l in data.decode().splitlines()
+                 if l.startswith("repro_requests_total")), "0")
+    return float(line.split()[-1])
+
+
 def test_metrics_aggregated_across_workers(pool, tiny_records):
     # Touch every worker so each has non-zero request counters...
     _predict_on_every_worker(pool, tiny_records[:2])
     time.sleep(1.2)  # ...and let the snapshot writers publish them.
-    status, _, data = _request(pool, "GET", "/v1/metrics")
-    assert status == 200
-    exposition = data.decode()
-    line = next(l for l in exposition.splitlines()
-                if l.startswith("repro_requests_total"))
-    total = float(line.split()[-1])
+    total = _fleet_requests(pool)
     # The fleet total must exceed what any single worker served: the
     # fan-in test alone spread >= pool.workers requests across workers.
     assert total >= pool.workers
@@ -138,6 +143,80 @@ def test_healthz_reports_worker_id(pool):
     status, _, data = _request(pool, "GET", "/v1/healthz")
     assert status == 200
     assert json.loads(data)["worker"] in range(pool.workers)
+
+
+def _settled_fleet_requests(pool, timeout: float = 10.0) -> float:
+    """The fleet total once every worker's snapshot has caught up: two
+    reads more than one snapshot interval apart agree."""
+    deadline = time.monotonic() + timeout
+    last = _fleet_requests(pool)
+    while time.monotonic() < deadline:
+        time.sleep(1.5 * pool.snapshot_interval_s)
+        now = _fleet_requests(pool)
+        if now == last:
+            return now
+        last = now
+    pytest.fail("fleet request counter never settled")
+
+
+def test_concurrent_keep_alive_traffic_matches_oracle(
+    pool, tiny_spec, serve_cache, tiny_records
+):
+    """Four keep-alive connections alternate one-job and 8-row bulk
+    requests: every value is the offline oracle's, bit for bit, and the
+    fleet counter grows by exactly the requests sent."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    from repro.analysis.prediction import default_models
+    from repro.ml import fit_predictor
+    from repro.pipeline import build_dataset
+
+    jobs = build_dataset(**tiny_spec.dataset_kwargs(), cache_dir=serve_cache).jobs
+    records = tiny_records[:8]
+    oracle = fit_predictor(jobs, default_models()["BDT"], model_name="BDT")
+    expected = [float(v) for v in oracle.predict_records(records)]
+    n_clients, per_client = 4, 20
+    start = _settled_fleet_requests(pool)
+
+    def client(c: int) -> None:
+        conn = http.client.HTTPConnection("127.0.0.1", pool.port, timeout=30)
+        local_ports = set()
+        try:
+            for i in range(per_client):
+                k = (c + i) % len(records)
+                if i % 2 == 0:
+                    path, ctype = "/v1/predict", "application/json"
+                    body = json.dumps({"model": "BDT", "jobs": [records[k]]})
+                    want = [expected[k]]
+                else:
+                    path, ctype = "/v1/predict/bulk?model=BDT", "application/x-ndjson"
+                    rows = records[k:] + records[:k]
+                    body = "\n".join(json.dumps(r) for r in rows)
+                    want = expected[k:] + expected[:k]
+                conn.request("POST", path, body=body, headers={"Content-Type": ctype})
+                response = conn.getresponse()
+                data = response.read()
+                assert response.status == 200, data
+                if i % 2 == 0:
+                    got = json.loads(data)["predictions"]
+                else:
+                    got = [float(line) for line in data.split()]
+                assert got == want, f"client {c} request {i} diverged from the oracle"
+                assert conn.sock is not None, "server closed a keep-alive connection"
+                local_ports.add(conn.sock.getsockname()[1])
+        finally:
+            conn.close()
+        assert len(local_ports) == 1, "client reconnected"
+
+    with ThreadPoolExecutor(n_clients) as ex:
+        list(ex.map(client, range(n_clients)))  # re-raises a client's failure
+    sent = n_clients * per_client
+    deadline = time.monotonic() + 10
+    grown = _fleet_requests(pool) - start
+    while grown < sent and time.monotonic() < deadline:
+        time.sleep(0.1)
+        grown = _fleet_requests(pool) - start
+    assert grown == sent
 
 
 def test_supervisor_replaces_killed_worker(pool, tiny_records):

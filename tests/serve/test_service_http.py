@@ -10,6 +10,7 @@ from __future__ import annotations
 import http.client
 import json
 import threading
+from urllib.parse import urlencode
 
 import numpy as np
 import pytest
@@ -200,6 +201,34 @@ def test_http_error_mapping(server, tiny_records):
         raw_body=json.dumps(tiny_records[0]).encode(),
     )
     assert status == 400 and "scenario" in body["error"]
+    # Scenario overlays that are not an object, are wrong-typed or name
+    # an unknown system are caller mistakes on both predict routes.
+    bad_overlays = (
+        {"seed": "x"},
+        {"seed": -1},
+        {"num_users": "5"},
+        {"max_traces": "many"},
+        {"system": "emmy", "horizon_days": "abc"},
+        {"horizon_s": "abc"},
+        {"system": "nosuch"},
+        "nosuch",
+        ["emmy"],
+    )
+    for overlay in bad_overlays:
+        status, body = _http(
+            server, "POST", "/v1/predict",
+            {"scenario": overlay, "jobs": tiny_records[:1]},
+        )
+        assert status == 400, (overlay, body)
+        assert "internal error" not in body["error"]
+    for overlay in bad_overlays:
+        query = urlencode({"model": "BDT", "scenario": json.dumps(overlay)})
+        status, _, body = server.request(
+            "POST", "/v1/predict/bulk?" + query,
+            raw_body=json.dumps(tiny_records[0]).encode(),
+        )
+        assert status == 400, (overlay, body)
+        assert "internal error" not in body["error"]
 
 
 def test_unread_body_does_not_break_keep_alive(server, tiny_records):

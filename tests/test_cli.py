@@ -18,12 +18,12 @@ class TestParser:
         assert args.num_nodes == 16
 
     def test_system_choices_track_the_cluster_registry(self):
-        """The hardcoded (import-light) CLI choices must never drift
-        from repro.cluster.known_systems()."""
-        from repro.cli import _SYSTEM_CHOICES
+        """The hardcoded (import-light) system names the CLI offers must
+        never drift from repro.cluster.known_systems()."""
         from repro.cluster import known_systems
+        from repro.spec import SYSTEM_NAMES
 
-        assert list(_SYSTEM_CHOICES) == known_systems()
+        assert list(SYSTEM_NAMES) == known_systems()
 
     def test_gpu_systems_are_accepted(self):
         args = build_parser().parse_args(

@@ -45,11 +45,42 @@ def test_derived_views():
         {"horizon_days": 0},
         {"horizon_days": -2},
         {"max_traces": -1},
+        # Wrong types and unknown systems, as HTTP overlays send them.
+        {"system": "nosuch"},
+        {"system": 7},
+        {"seed": "x"},
+        {"seed": 1.5},
+        {"seed": True},
+        {"seed": None},
+        {"seed": -1},
+        {"num_nodes": "24"},
+        {"num_users": "5"},
+        {"horizon_days": "abc"},
+        {"horizon_days": float("nan")},
+        {"horizon_days": float("inf")},
+        {"max_traces": "many"},
+        {"max_traces": None},
     ],
 )
 def test_validation_rejects(bad):
     with pytest.raises(ScenarioError):
         ScenarioSpec(**bad)
+
+
+def test_validation_accepts_numpy_scalars():
+    spec = ScenarioSpec(
+        "emmy", seed=np.int64(3), num_nodes=np.int32(24),
+        horizon_days=np.float64(2.0), max_traces=np.uint16(10),
+    )
+    assert spec.seed == 3 and spec.num_nodes == 24 and spec.max_traces == 10
+
+
+def test_import_stays_numpy_free():
+    import subprocess
+    import sys
+
+    code = "import sys, repro.spec; raise SystemExit('numpy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
 def test_frozen_and_hashable():
@@ -79,6 +110,8 @@ def test_from_dict_accepts_legacy_horizon_s():
         ScenarioSpec.from_dict({"horizon_s": DAY_S, "horizon_days": 2})
     with pytest.raises(ScenarioError, match="unknown scenario fields"):
         ScenarioSpec.from_dict({"nodes": 4})
+    with pytest.raises(ScenarioError, match="horizon_s must be a number"):
+        ScenarioSpec.from_dict({"horizon_s": "abc"})
 
 
 def test_from_args_namespace():

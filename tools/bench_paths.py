@@ -1,6 +1,6 @@
-"""Scratch locations for the benchmark and serving harnesses.
+"""Scratch locations for the paper-vs-measured benchmark fixtures.
 
-The bench fixtures and the serve-bench harness need two writable
+The fixtures under ``benchmarks/`` need two writable
 directories: an artifact cache for the (expensive) paper-scale datasets
 and a results directory for the comparison text files. Neither belongs
 in the repository working tree — a `make bench-smoke` must not dirty

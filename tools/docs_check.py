@@ -21,7 +21,9 @@ evaluation track, every exit-code constant) is covered by
 docs/SCENARIOS.md. Finally, README.md and docs/*.md may name only HTTP
 routes the server serves (the route table in ``repro.serve.http``), and
 they and the verify skill may name only ``tools/*.py`` scripts that
-exist and ``make`` targets the Makefile defines.
+exist, ``make`` targets the Makefile defines and baseline or scorecard
+JSON files (``SCORECARD_gpu.json`` and the like) present at the
+repository root.
 Run via ``make docs-check``.
 """
 
@@ -52,6 +54,8 @@ _V1_PATH = re.compile(r"/v1(?:/[\w-]+)+")
 _CODE = re.compile(r"```.*?```|`[^`]+`", re.S)
 _TOOL = re.compile(r"tools/(\w+\.py)")
 _MAKE = re.compile(r"\bmake\s+([\w-]+)")
+#: A committed baseline or scorecard name (or glob) at the repository root.
+_ROOT_JSON = re.compile(r"\b((?:BENCH|SCORECARD)_[\w*]+\.json)")
 
 
 def check_docstrings(module_name: str) -> list[str]:
@@ -211,12 +215,14 @@ def check_routes() -> list[str]:
 
 
 def check_tools() -> list[str]:
-    """``tools/*.py`` scripts and ``make`` targets the docs name but lack.
+    """Scripts, ``make`` targets and root JSON files the docs name but lack.
 
     README.md, docs/*.md and the verify skill may name only scripts that
-    exist under ``tools/`` and targets the Makefile defines, so a deleted
-    script or target fails here until its last mention goes too. Targets
-    are read from code spans only, where prose cannot say "make sure".
+    exist under ``tools/``, targets the Makefile defines and baseline or
+    scorecard JSON files at the repository root, so a deleted script,
+    target or baseline fails here until its last mention goes too.
+    Targets are read from code spans only, where prose cannot say "make
+    sure".
     """
     makefile = (REPO_ROOT / "Makefile").read_text()
     targets = set(re.findall(r"^([\w-]+):", makefile, re.M))
@@ -234,6 +240,11 @@ def check_tools() -> list[str]:
             f"{where}: `make {name}` is not a Makefile target"
             for name in sorted(set(_MAKE.findall(" ".join(_CODE.findall(text)))))
             if name not in targets
+        ]
+        problems += [
+            f"{where}: {name} does not exist at the repository root"
+            for name in sorted(set(_ROOT_JSON.findall(text)))
+            if not any(REPO_ROOT.glob(name))
         ]
     return problems
 
@@ -267,7 +278,7 @@ def main() -> int:
     for problem in check_routes():
         problems.append(f"route not served: {problem}")
     for problem in check_tools():
-        problems.append(f"unknown tool or target: {problem}")
+        problems.append(f"stale reference: {problem}")
 
     if problems:
         print(f"docs-check: {len(problems)} problem(s)", file=sys.stderr)
