@@ -84,6 +84,10 @@ class ServiceClosed(ServeError):
     """The batcher/service was shut down; the request was not served."""
 
 
+class ServiceOverloaded(ServeError):
+    """More requests are pending than the service admits; retry later."""
+
+
 class FaultError(ReproError):
     """Invalid fault-injection plan or injector misuse."""
 

@@ -43,7 +43,7 @@ from collections import deque
 from concurrent.futures import Future
 from typing import Callable, Mapping, Sequence
 
-from repro.errors import ServeError, ServiceClosed
+from repro.errors import ServeError, ServiceClosed, ServiceOverloaded
 from repro.faults.injector import maybe_fire
 from repro.obs.metrics import REGISTRY
 
@@ -94,8 +94,8 @@ class MicroBatcher:
         record arrived.
     max_queue:
         Bound on queued-but-unbatched records; a full queue fails the
-        submit with :class:`~repro.errors.ServeError` instead of letting
-        latency grow without bound.
+        submit with :class:`~repro.errors.ServiceOverloaded` instead of
+        letting latency grow without bound.
     """
 
     def __init__(
@@ -140,7 +140,7 @@ class MicroBatcher:
             if self._closed:
                 raise ServiceClosed(f"batcher {self.name!r} is closed")
             if len(self._items) >= self.max_queue:
-                raise ServeError(
+                raise ServiceOverloaded(
                     f"batcher {self.name!r} queue full "
                     f"({self.max_queue} pending requests)"
                 )
@@ -263,7 +263,9 @@ class MicroBatcher:
             self._cond.notify_all()
         for future in overflow:
             future.set_exception(
-                ServeError(f"batcher {self.name!r} crashed with a full queue")
+                ServiceOverloaded(
+                    f"batcher {self.name!r} crashed with a full queue"
+                )
             )
 
     def _run(self) -> None:

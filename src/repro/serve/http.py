@@ -36,7 +36,17 @@ Any other GET or POST answers 404 with a JSON error. Every
 request body is read in full before routing, so an early answer never
 leaves unread bytes on a keep-alive connection; a body whose
 ``Content-Length`` is missing, malformed or over 8 MiB cannot be
-skipped, so it gets a 400 and the connection is closed.
+skipped, so it gets a 400 and the connection is closed. A closed or
+overloaded service answers 503 with ``Retry-After: 1``. The errors the
+stdlib raises before routing (501 for another method; 400, 414, 431 or
+505 for a request it cannot parse) are JSON too, and close the
+connection.
+
+Every response, error or not, leaves in one socket write: status line,
+headers and body together. Two writes on a Nagle socket make the second
+wait for the client's delayed ACK, about 40 ms on Linux, a stall after
+``write()`` returns that no server-side timer sees (docs/PERFORMANCE.md,
+"Latency only the client sees").
 """
 
 from __future__ import annotations
@@ -49,7 +59,14 @@ from time import perf_counter
 from typing import Any, Mapping
 from urllib.parse import parse_qs
 
-from repro.errors import ReproError, ScenarioError, ServeError, ValidationError
+from repro.errors import (
+    ReproError,
+    ScenarioError,
+    ServeError,
+    ServiceClosed,
+    ServiceOverloaded,
+    ValidationError,
+)
 from repro.faults.injector import active_injector
 from repro.obs.metrics import REGISTRY, render_merged
 from repro.serve.api import PredictRequest
@@ -60,6 +77,8 @@ from repro.spec import ScenarioSpec
 __all__ = ["PredictionServer", "create_server"]
 
 _MAX_BODY_BYTES = 8 * 1024 * 1024
+#: Server conditions that map to HTTP 503: the client may retry later.
+_UNAVAILABLE_ERRORS = (ServiceClosed, ServiceOverloaded)
 #: Request errors that map to HTTP 400 (caller's fault, not the server's).
 _BAD_REQUEST_ERRORS = (ServeError, ScenarioError, ValidationError)
 
@@ -79,12 +98,6 @@ _HTTP_RESPONSES = REGISTRY.counter(
     "HTTP responses sent, by endpoint and status code.",
     labelnames=("endpoint", "status"),
 )
-
-
-def _endpoint_label(path: str) -> str:
-    """Bounded-cardinality endpoint label for the HTTP counters."""
-    path = path.partition("?")[0]
-    return path if path in _PATHS else "other"
 
 
 def _float_repr(value: float) -> str:
@@ -131,11 +144,35 @@ class _Handler(BaseHTTPRequestHandler):
         if self.server.verbose:
             super().log_message(format, *args)
 
+    def send_error(
+        self, code: int, message: str | None = None, explain: str | None = None
+    ) -> None:
+        """Answer an error the stdlib raises before routing, as JSON.
+
+        ``BaseHTTPRequestHandler`` calls this for a method with no
+        ``do_*`` handler (501) and for a request line or headers it
+        cannot parse (400, 414, 431, 505). Such a request never reaches
+        :meth:`_dispatch`, so it is counted here, under
+        ``endpoint="other"``: a request whose line did not parse has no
+        path. The connection closes after the answer, as in the stdlib.
+        """
+        code = int(code)
+        self._endpoint = "other"
+        _HTTP_REQUESTS.inc(endpoint="other")
+        self.log_error("code %d, message %s", code, message)
+        self._send_json(
+            code,
+            {"error": message or self.responses[code][0]},
+            {"Connection": "close"},
+        )
+
     # -- plumbing --------------------------------------------------------
 
     def _dispatch(self) -> None:
         path, _, query = self.path.partition("?")
-        _HTTP_REQUESTS.inc(endpoint=_endpoint_label(path))
+        # Bounded cardinality: paths the server does not serve are "other".
+        self._endpoint = path if path in _PATHS else "other"
+        _HTTP_REQUESTS.inc(endpoint=self._endpoint)
         self._t0 = perf_counter()
         try:
             body = self._read_body()
@@ -150,6 +187,8 @@ class _Handler(BaseHTTPRequestHandler):
             return
         try:
             result = route(self, query, body)
+        except _UNAVAILABLE_ERRORS as exc:
+            self._send_json(503, {"error": str(exc)}, {"Retry-After": "1"})
         except _BAD_REQUEST_ERRORS as exc:
             self._send_json(400, {"error": str(exc)})
         except ReproError as exc:
@@ -186,7 +225,7 @@ class _Handler(BaseHTTPRequestHandler):
         content_type: str,
         headers: Mapping[str, str] | None = None,
     ) -> None:
-        _HTTP_RESPONSES.inc(endpoint=_endpoint_label(self.path), status=status)
+        _HTTP_RESPONSES.inc(endpoint=self._endpoint, status=status)
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
@@ -194,8 +233,12 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header(name, value)
         if self.server.worker_id is not None:
             self.send_header("X-Worker", str(self.server.worker_id))
-        self.end_headers()
-        self.wfile.write(body)
+        if self.request_version == "HTTP/0.9":  # no status line, no headers
+            self.wfile.write(body)
+            return
+        # One write, not end_headers() then the body (see the module doc).
+        self._headers_buffer.extend((b"\r\n", body))
+        self.flush_headers()
 
     def _send_json(
         self,

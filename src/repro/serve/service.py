@@ -256,8 +256,9 @@ class PredictionService:
         requested model (training keeps failing under faults), the
         request is answered by the mean-power baseline and flagged
         ``degraded`` instead of erroring — caller mistakes (unknown
-        model/user, malformed fields, an overloaded or closed batcher)
-        still raise.
+        model/user, malformed fields) still raise, and so do a closed
+        service (:class:`~repro.errors.ServiceClosed`) and a full batcher
+        queue (:class:`~repro.errors.ServiceOverloaded`).
         """
         _REQUESTS.inc()
         bulk = request.mode == "bulk"
@@ -545,7 +546,7 @@ class PredictionService:
         }
 
     def close(self) -> None:
-        """Shut every batcher down; further predicts raise ServeError."""
+        """Shut every batcher down; further predicts raise ServiceClosed."""
         with self._lock:
             if self._closed:
                 return

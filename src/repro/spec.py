@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from numbers import Integral, Real
 from typing import Any, Mapping
 
@@ -83,6 +84,9 @@ class ScenarioSpec:
             raise ScenarioError(
                 f"unknown system {self.system!r}; known: {list(SYSTEM_NAMES)}"
             )
+        # One spelling per system: "EMMY" and "emmy" share a label, a
+        # dataset digest and every cache entry keyed by them.
+        object.__setattr__(self, "system", self.system.lower())
         if not (_is_int(self.seed) and self.seed >= 0):
             raise ScenarioError(f"seed must be an integer >= 0, got {self.seed!r}")
         for name in ("num_nodes", "num_users"):
@@ -135,13 +139,15 @@ class ScenarioSpec:
 
         return ShardConfig(**self.dataset_kwargs(), **extra)
 
-    @property
+    @cached_property
     def dataset_digest(self) -> str:
         """Content address of this scenario's dataset artifact.
 
         Identical to the pipeline cache key of the ``dataset`` stage, so
         a served model and a cached dataset built from the same scenario
-        share one identity.
+        share one identity. Computed once per spec: the key depends only
+        on the frozen fields and the module's stage versions, and a
+        served request reads it several times.
         """
         from repro.pipeline.config import stage_key
 

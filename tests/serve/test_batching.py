@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from repro.errors import ServeError, ServiceClosed
+from repro.errors import ServeError, ServiceClosed, ServiceOverloaded
 from repro.serve import MicroBatcher
 
 
@@ -117,8 +117,9 @@ def test_full_queue_rejects_instead_of_queueing_forever():
         inflight = b.submit({"x": 0})
         assert started.wait(5)  # worker holds this one; queue is empty
         queued = [b.submit({"x": i}) for i in (1, 2)]
-        with pytest.raises(ServeError, match="queue full"):
+        with pytest.raises(ServeError, match="queue full") as caught:
             b.submit({"x": 3})
+        assert isinstance(caught.value, ServiceOverloaded)  # a 503, not a 400
         release.set()
         assert inflight.result(5) == 0.0
         assert [f.result(5) for f in queued] == [0.0, 0.0]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
 import threading
 from urllib.parse import urlencode
 
@@ -18,6 +19,7 @@ import pytest
 from repro.errors import ScenarioError, ServeError
 from repro.obs.metrics import REGISTRY
 from repro.serve import PredictionService, PredictRequest
+from repro.serve.http import PredictionServer
 from tests.helpers.served import ServedSystem
 
 
@@ -117,6 +119,19 @@ def test_malformed_records_rejected(service):
         _predict(service, [1, 2])
     with pytest.raises(ServeError, match="at least one record"):
         _predict(service, [])
+
+
+def test_upper_case_system_overlay_reuses_the_warm_batcher(
+    service, tiny_records, direct
+):
+    _predict(service, tiny_records[:1])
+    batchers = dict(service._batchers)
+    response = service.predict_request(
+        PredictRequest(records=tiny_records[:1], scenario={"system": "EMMY"})
+    )
+    assert service._batchers == batchers  # no second model, no new batcher
+    assert response.dataset_digest == service.scenario.dataset_digest
+    assert response.predictions[0] == direct[0]
 
 
 def test_scenario_overlay_changes_only_named_fields(service, tiny_spec):
@@ -229,6 +244,32 @@ def test_http_error_mapping(server, tiny_records):
         )
         assert status == 400, (overlay, body)
         assert "internal error" not in body["error"]
+
+
+@pytest.mark.parametrize("condition", ["closed", "overloaded"])
+def test_server_side_conditions_answer_503(
+    tiny_spec, serve_cache, tiny_records, condition
+):
+    # max_queue=0 makes every batched submit find the queue full.
+    max_queue = 0 if condition == "overloaded" else 4096
+    with PredictionService(
+        tiny_spec, cache_dir=serve_cache, max_queue=max_queue
+    ) as svc, ServedSystem(service=svc) as system:
+        svc.warm(("BDT",))
+        if condition == "closed":
+            svc.close()
+        status, headers, body = system.post(
+            "/v1/predict", {"jobs": tiny_records[:1]}
+        )
+        assert status == 503, body
+        assert headers["Retry-After"] == "1"
+        assert ("closed" if condition == "closed" else "queue full") in body["error"]
+        if condition == "closed":  # the bulk route skips the batcher
+            status, headers, _ = system.request(
+                "POST", "/v1/predict/bulk?model=BDT",
+                raw_body=json.dumps(tiny_records[0]).encode(),
+            )
+            assert status == 503 and headers["Retry-After"] == "1"
 
 
 def test_unread_body_does_not_break_keep_alive(server, tiny_records):
@@ -371,3 +412,133 @@ def test_metrics_counters_are_monotone_across_requests(server, tiny_records):
     # The scrape itself is accounted.
     assert (after['repro_http_requests_total{endpoint="/v1/metrics"}']
             >= before['repro_http_requests_total{endpoint="/v1/metrics"}'] + 1)
+
+
+# -- one socket write per response ---------------------------------------
+
+
+class _CountingSocket:
+    """An accepted socket that logs the size of every send/sendall."""
+
+    def __init__(self, sock: socket.socket, writes: list[int]) -> None:
+        self._sock = sock
+        self._writes = writes
+
+    def send(self, data, *args):
+        self._writes.append(len(data))
+        return self._sock.send(data, *args)
+
+    def sendall(self, data, *args):
+        self._writes.append(len(data))
+        return self._sock.sendall(data, *args)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+class _CountingServer(PredictionServer):
+    """A PredictionServer whose connections count their socket writes."""
+
+    def __init__(self, service) -> None:
+        self.writes: list[int] = []
+        self.accepted = 0
+        super().__init__(service)
+
+    def get_request(self):
+        sock, address = super().get_request()
+        self.accepted += 1
+        return _CountingSocket(sock, self.writes), address
+
+
+@pytest.fixture
+def counting_server(service):
+    server = _CountingServer(service)
+    server.serve_in_background()
+    yield server
+    # Not server.close(): that would also close the module's service.
+    server.shutdown()
+    server.server_close()
+
+
+def _exchange(server, conn, method, path, body=None):
+    """One request; returns (status, headers, body, writes it took)."""
+    before = len(server.writes)
+    conn.request(method, path, body=body)
+    response = conn.getresponse()
+    data = response.read()
+    # The client holds the whole response, so every write is done.
+    writes = server.writes[before:]
+    return response.status, dict(response.getheaders()), data, writes
+
+
+def test_each_response_is_one_socket_write(counting_server, tiny_records):
+    """Two writes per response stall on the client's delayed ACK."""
+    bulk = b"\n".join(json.dumps(r).encode() for r in tiny_records[:8])
+    cases = [
+        ("POST", "/v1/predict", json.dumps({"job": tiny_records[0]}), 200),
+        ("POST", "/v1/predict/bulk?model=BDT", bulk, 200),
+        ("GET", "/v1/metrics", None, 200),
+        ("GET", "/v1/healthz", None, 200),
+        ("GET", "/v1/nope", None, 404),
+        ("POST", "/v1/predict", b"{not json", 400),
+    ]
+    conn = http.client.HTTPConnection("127.0.0.1", counting_server.port, timeout=30)
+    try:
+        for method, path, body, expected in cases:
+            status, _, data, writes = _exchange(
+                counting_server, conn, method, path, body
+            )
+            assert status == expected, (path, data)
+            # One write, and it carried the headers and the body.
+            assert len(writes) == 1 and writes[0] > len(data), (path, writes)
+    finally:
+        conn.close()
+    assert counting_server.accepted == 1  # every request kept the connection
+
+
+def _raw_exchange(port: int, request: bytes) -> bytes:
+    """Send raw bytes; return everything read until the server closes."""
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+        sock.sendall(request)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def test_stdlib_errors_answer_json_in_one_write(counting_server):
+    """501/400/414 come from BaseHTTPRequestHandler, before any route."""
+    requests = REGISTRY.get("repro_http_requests_total")
+    responses = REGISTRY.get("repro_http_responses_total")
+    before = requests.value(endpoint="other")
+
+    conn = http.client.HTTPConnection("127.0.0.1", counting_server.port, timeout=30)
+    try:
+        answered = responses.value(endpoint="other", status="501")
+        status, headers, data, writes = _exchange(
+            counting_server, conn, "PUT", "/v1/predict", b"{}"
+        )
+    finally:
+        conn.close()
+    assert status == 501 and "PUT" in json.loads(data)["error"]
+    assert headers["Connection"] == "close"
+    assert headers["Content-Type"] == "application/json"
+    assert len(writes) == 1 and writes[0] > len(data)
+    assert responses.value(endpoint="other", status="501") == answered + 1
+
+    # A request line the stdlib cannot parse, and one that is too long.
+    for raw, code in (
+        (b"NOT A VALID REQUEST HTTP/1.1\r\n\r\n", 400),
+        (b"GET /" + b"x" * 70_000 + b" HTTP/1.1\r\n\r\n", 414),
+    ):
+        answered = responses.value(endpoint="other", status=str(code))
+        head, _, body = _raw_exchange(counting_server.port, raw).partition(b"\r\n\r\n")
+        status_line, *lines = head.decode("latin-1").split("\r\n")
+        assert int(status_line.split()[1]) == code
+        assert "Connection: close" in lines
+        assert json.loads(body)["error"]
+        assert responses.value(endpoint="other", status=str(code)) == answered + 1
+    # A one-word line reads as HTTP/0.9, whose answer is the bare body.
+    data = _raw_exchange(counting_server.port, b"FOO\r\n")
+    assert json.loads(data)["error"].startswith("Bad request syntax")
+    assert requests.value(endpoint="other") == before + 4

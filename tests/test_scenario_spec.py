@@ -150,6 +150,37 @@ def test_dataset_digest_matches_pipeline_stage_key():
     assert ShardConfig.from_scenario(spec, backfill_depth=7).backfill_depth == 7
 
 
+def test_system_name_is_case_insensitive():
+    lower = ScenarioSpec("emmy", seed=7, num_nodes=24)
+    for spelling in ("EMMY", "Emmy"):
+        spec = ScenarioSpec(spelling, seed=7, num_nodes=24)
+        assert spec == lower and hash(spec) == hash(lower)
+        assert spec.system == "emmy"
+        assert spec.label == "emmy/seed7"
+        assert spec.dataset_digest == lower.dataset_digest
+    assert ScenarioSpec.from_dict({"system": "MEGGIE"}) == ScenarioSpec("meggie")
+
+
+def test_dataset_digest_is_computed_once(monkeypatch):
+    from repro.pipeline import config
+
+    calls = []
+    real = config.stage_key
+
+    def counting(shard, stage):
+        calls.append(stage)
+        return real(shard, stage)
+
+    monkeypatch.setattr(config, "stage_key", counting)
+    spec = ScenarioSpec("meggie", seed=5, num_nodes=12)
+    digests = {spec.dataset_digest for _ in range(3)}
+    assert digests == {real(spec.to_shard_config(), "dataset")}
+    assert calls == ["dataset"]
+    # A replaced spec is a new object with its own digest.
+    assert spec.replace(seed=6).dataset_digest != spec.dataset_digest
+    assert calls == ["dataset", "dataset"]
+
+
 def test_facade_generate_dataset_matches_legacy_style():
     import repro
     from repro.telemetry import generate_dataset as legacy
