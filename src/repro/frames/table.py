@@ -8,6 +8,7 @@ operations return new tables sharing column buffers where possible
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -15,7 +16,7 @@ import numpy as np
 from repro.errors import ColumnMismatchError, FrameError
 from repro.frames.column import as_column, common_length, is_numeric_dtype
 
-__all__ = ["Table", "concat"]
+__all__ = ["Table", "concat", "concat_columns"]
 
 
 class Table:
@@ -237,3 +238,33 @@ def concat(tables: Sequence[Table]) -> Table:
                 f"table {i} columns {t.column_names} differ from table 0 columns {names}"
             )
     return Table({n: np.concatenate([t[n] for t in tables]) for n in names})
+
+
+def concat_columns(
+    tables: Sequence[Iterable[tuple[str, np.ndarray]]],
+) -> Iterator[tuple[str, np.ndarray]]:
+    """:func:`concat` one column at a time, over streams of columns.
+
+    Each of ``tables`` yields ``(name, column)`` pairs, as
+    :func:`~repro.frames.io.iter_npz` does. Every step takes the next
+    column of each stream and yields their concatenation, keeping no
+    reference to it or its parts, so a caller that drops each merged
+    column before asking for the next holds at most one column's parts
+    plus the merged column. Raises :class:`ColumnMismatchError` when the
+    streams' column names differ, like :func:`concat`.
+    """
+    for parts in zip_longest(*tables):
+        names = [part[0] if part is not None else None for part in parts]
+        if None in names or len(set(names)) != 1:
+            raise ColumnMismatchError(f"streams disagree on the next column: {names}")
+        columns = [column for _, column in parts]
+        del parts
+        yield names[0], _concatenated(columns)
+
+
+def _concatenated(columns: list[np.ndarray]) -> np.ndarray:
+    """``np.concatenate(columns)``, without a copy for a single part, and
+    emptying ``columns`` so that the caller's list no longer holds them."""
+    merged = columns[0] if len(columns) == 1 else np.concatenate(columns)
+    columns.clear()
+    return merged

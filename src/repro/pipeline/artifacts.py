@@ -33,7 +33,7 @@ from repro.frames import Table, read_npz, write_npz
 from repro.telemetry.dataset import JobDataset
 from repro.telemetry.samples_schema import (
     load_samples,
-    samples_table,
+    sample_columns,
     save_samples,
     traces_from_samples,
 )
@@ -57,7 +57,10 @@ def save_dataset(dataset: JobDataset, out_dir: str | os.PathLike) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     save_jobs_npz(dataset.jobs, out_dir / _JOBS_NAME)
     if dataset.traces:
-        save_samples(samples_table(dataset), out_dir / _SAMPLES_NAME)
+        save_samples(
+            sample_columns(dataset.traces, dataset.trace_allocations),
+            out_dir / _SAMPLES_NAME,
+        )
     write_npz(
         Table(
             {

@@ -216,15 +216,16 @@ def _run_shard_stages(
                 "n_jobs": artifact_meta["n_jobs"],
                 "n_traces": artifact_meta["n_traces"],
                 "n_minutes": artifact_meta["n_minutes"],
+                # Read once the files are written: the write is the stage.
+                "seconds": round(time.perf_counter() - t0, 4),
+                "peak_rss_bytes": peak_rss_bytes(),
             }
 
         cache.store_tree(
             "dataset", keys["dataset"], build,
             # The gap count rides on the final artifact too, so a later
             # cache-hit load still reports how many samples were filled in.
-            {**meta_common, "n_gaps": getattr(sample, "n_gaps", 0),
-             "seconds": round(time.perf_counter() - t0, 4),
-             "peak_rss_bytes": peak_rss_bytes()},
+            {**meta_common, "n_gaps": getattr(sample, "n_gaps", 0)},
         )
         timed("dataset", False, dataset.num_jobs, t0, len(dataset.traces),
               getattr(sample, "n_gaps", 0))

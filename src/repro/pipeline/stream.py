@@ -4,8 +4,9 @@ The monolithic :func:`repro.pipeline.stages.run_shard` materializes the
 whole job stream, schedule, and telemetry sample in memory — fine at the
 paper's 41k-job scale, a wall at millions of jobs. This module builds
 the *same artifact, byte for byte*, holding only one chunk plus the
-scheduler's live frontier at a time until compaction, which reads every
-chunk's job and sample tables to merge them (docs/PIPELINE.md):
+scheduler's live frontier at a time. Samples, the largest table, are
+spilled and merged one column at a time; compaction still reads every
+chunk's job table at once (docs/PIPELINE.md):
 
 1. **Plan** — the workload is generated once into a columnar
    :class:`~repro.workload.generator.WorkloadPlan` (~32 bytes/job) and
@@ -22,7 +23,9 @@ chunk's job and sample tables to merge them (docs/PIPELINE.md):
    telemetry state), which is what makes an interrupted run restartable
    from its last completed chunk.
 3. **Compact** — the shards are merged into the final ``dataset`` stage
-   entry. Job tables and sample tables concatenate; the float power
+   entry. Job tables concatenate, and sample tables concatenate column
+   by column (:func:`~repro.frames.concat_columns` over lazy
+   :func:`~repro.frames.iter_npz` readers); the float power
    timeline is *replayed* per job in global start order (float addition
    is not associative — summing per-chunk partial timelines would change
    the bytes), and the integer occupancy timeline is rebuilt exactly
@@ -50,7 +53,7 @@ from typing import Any
 import numpy as np
 
 from repro.errors import PipelineError, TelemetryError
-from repro.frames import Table, concat, read_npz, write_npz
+from repro.frames import Table, concat, concat_columns, iter_npz, read_npz, write_npz
 from repro.obs.logs import get_logger
 from repro.obs.metrics import REGISTRY, peak_rss_bytes
 from repro.obs.tracing import trace_span
@@ -69,6 +72,7 @@ from repro.pipeline.config import (
 )
 from repro.scheduler.simulator import SchedulerConfig, Simulator
 from repro.telemetry.dataset import build_inputs, join_jobs
+from repro.telemetry.samples_schema import sample_columns
 from repro.telemetry.schema import job_columns, save_jobs_npz
 from repro.telemetry.stream import TelemetryStream
 from repro.units import MINUTE
@@ -303,16 +307,17 @@ def _stream_shard(
                     tmp_dir / _POWER_NAME, compress=False,
                 )
                 if sample.traces:
+                    # Chunks in order concatenate to the monolithic table.
                     write_npz(
-                        _chunk_samples(sample), tmp_dir / _SAMPLES_NAME,
-                        compress=False,
+                        sample_columns(sample.traces, sample.trace_allocations),
+                        tmp_dir / _SAMPLES_NAME, compress=False,
                     )
                 if checkpoint is not None:
                     with (tmp_dir / _STATE_NAME).open("wb") as fh:
                         pickle.dump(
                             checkpoint, fh, protocol=pickle.HIGHEST_PROTOCOL
                         )
-                return {}
+                return _finished(t0)
 
             meta = {
                 **meta_common,
@@ -324,8 +329,6 @@ def _stream_shard(
                 "n_gaps": sample.n_gaps,
                 "max_end_s": int(max_end_s),
                 "trace_order": [int(k) for k in sample.traces],
-                "seconds": round(time.perf_counter() - t0, 4),
-                "peak_rss_bytes": peak_rss_bytes(),
             }
             cache.store_tree(CHUNK_STAGE, keys[i], build, meta)
             chunk_metas.append(meta)
@@ -377,15 +380,14 @@ def _stream_shard(
             (tmp_dir / DATASET_META_NAME).write_text(
                 json.dumps(meta, indent=2, sort_keys=True)
             )
-            return {"n_jobs": n_jobs, "n_traces": n_traces, "n_minutes": n_minutes}
+            return {"n_jobs": n_jobs, "n_traces": n_traces,
+                    "n_minutes": n_minutes, **_finished(t0)}
 
         cache.store_tree(
             "dataset", dataset_key, build,
             {**meta_common, "n_gaps": n_gaps,
-             "seconds": round(time.perf_counter() - t0, 4),
              "streamed": True, "chunk_jobs": chunk_jobs,
-             "n_chunks": chunks.n_chunks,
-             "peak_rss_bytes": peak_rss_bytes()},
+             "n_chunks": chunks.n_chunks},
         )
     _COMPACTED.inc(chunks.n_chunks)
     _PEAK_RSS.set(peak_rss_bytes())
@@ -416,31 +418,10 @@ def _stream_shard(
     return report
 
 
-def _chunk_samples(sample) -> Table:
-    """Flatten one chunk's traces exactly like the monolithic sample table.
-
-    :func:`repro.telemetry.samples_schema.samples_table` iterates the
-    dataset's trace dict in insertion (start) order; per-chunk tables in
-    chunk order therefore concatenate to the monolithic table.
-    """
-    job_ids, node_ids, ranks, minutes, power = [], [], [], [], []
-    for job_id, trace in sample.traces.items():
-        n, m = trace.matrix.shape
-        physical = np.asarray(sample.trace_allocations[job_id], dtype=np.int64)
-        job_ids.append(np.full(n * m, job_id, dtype=np.int64))
-        node_ids.append(np.repeat(physical, m))
-        ranks.append(np.repeat(np.arange(n, dtype=np.int64), m))
-        minutes.append(np.tile(np.arange(m, dtype=np.int64), n))
-        power.append(trace.matrix.ravel())
-    return Table(
-        {
-            "job_id": np.concatenate(job_ids),
-            "node_id": np.concatenate(node_ids),
-            "node_rank": np.concatenate(ranks),
-            "minute": np.concatenate(minutes),
-            "power_w": np.concatenate(power),
-        }
-    )
+def _finished(t0: float) -> dict:
+    """A stage sidecar's timing fields, read once its files are written."""
+    return {"seconds": round(time.perf_counter() - t0, 4),
+            "peak_rss_bytes": peak_rss_bytes()}
 
 
 # -- compaction workers (module-level: picklable for the process pool) ---
@@ -459,15 +440,14 @@ def _compact_jobs(payload: tuple[list[str], str]) -> None:
 
 
 def _compact_samples(payload: tuple[list[str], str]) -> None:
-    """Concatenate the chunks' sample tables into the final ``samples.npz``."""
+    """Concatenate the chunks' sample tables into the final ``samples.npz``,
+    reading, merging and writing one column at a time."""
     shard_dirs, out_path = payload
-    parts = [
-        read_npz(p)
-        for p in (Path(d) / _SAMPLES_NAME for d in shard_dirs)
-        if p.is_file()
+    paths = [
+        p for p in (Path(d) / _SAMPLES_NAME for d in shard_dirs) if p.is_file()
     ]
-    if parts:
-        write_npz(concat(parts), out_path)
+    if paths:
+        write_npz(concat_columns([iter_npz(p) for p in paths]), out_path)
 
 
 def _compact_timeline(payload: tuple[list[str], str, int, int]) -> None:

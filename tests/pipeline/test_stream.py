@@ -12,14 +12,18 @@ cleanup.
 
 import hashlib
 import pickle
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.pipeline.stages as stages_mod
 import repro.pipeline.stream as stream_mod
 from repro.errors import PipelineError, SchedulerError
+from repro.frames import read_npz
 from repro.obs.metrics import peak_rss_bytes
 from repro.pipeline import (
     ArtifactCache,
@@ -355,3 +359,104 @@ class TestPeakRss:
         run_shard(shard, cache, want_dataset=False)
         for stage in ("workload", "schedule", "telemetry", "dataset"):
             assert cache.load_meta(stage, stage_key(shard, stage))["peak_rss_bytes"] > 0
+
+
+def _slowed(fn, seconds: float):
+    def slow(*args, **kwargs):
+        time.sleep(seconds)
+        return fn(*args, **kwargs)
+    return slow
+
+
+class TestSidecarTiming:
+    """A stage sidecar's ``seconds``/``peak_rss_bytes`` cover writing its files."""
+
+    def test_monolithic_dataset_sidecar_times_the_write(self, tmp_path, monkeypatch):
+        shard = _shard(3)
+        cache = ArtifactCache(tmp_path)
+        monkeypatch.setattr(stages_mod, "save_dataset",
+                            _slowed(stages_mod.save_dataset, 0.3))
+        run_shard(shard, cache, want_dataset=False)
+        assert cache.load_meta("dataset", stage_key(shard, "dataset"))["seconds"] >= 0.3
+
+    def test_streamed_sidecars_time_the_write(self, tmp_path, monkeypatch):
+        shard = _shard(3)
+        cache = ArtifactCache(tmp_path)
+        monkeypatch.setattr(stream_mod, "_compact_shards",
+                            _slowed(stream_mod._compact_shards, 0.3))
+        # Every chunk spills at least jobs.npz and power.npz.
+        monkeypatch.setattr(stream_mod, "write_npz", _slowed(stream_mod.write_npz, 0.1))
+        report = stream_shard(shard, cache, chunk_jobs=50, keep_shards=True)
+        assert cache.load_meta("dataset", stage_key(shard, "dataset"))["seconds"] >= 0.3
+        chunks = [t for t in report.stages if t.stage == "chunk"]
+        assert len(chunks) > 1
+        for timing in chunks:
+            assert cache.load_meta("chunk", timing.key)["seconds"] >= 0.2
+
+
+def _traced(fn, *args):
+    """``fn(*args)``, and the bytes it allocated at its peak above what it
+    started with. numpy reports its buffers to tracemalloc (which the
+    caller has started), so the figure is deterministic."""
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    result = fn(*args)
+    return result, tracemalloc.get_traced_memory()[1] - base
+
+
+def _table_bytes(path) -> int:
+    table = read_npz(path)
+    return sum(table[n].nbytes for n in table.column_names)
+
+
+class TestSamplesMemory:
+    """Spilling and merging the samples table hold about a column, not
+    the table: each pass peaks below the bytes of the table it writes."""
+
+    @pytest.fixture(scope="class")
+    def kept(self, tmp_path_factory):
+        """A multi-chunk build with its shards kept, and the traced peak of
+        writing each chunk's spill shard."""
+        shard = ShardConfig("emmy", seed=3, num_nodes=120, num_users=20,
+                            horizon_s=10 * 86400)
+        cache = ArtifactCache(tmp_path_factory.mktemp("kept"))
+        spill_peaks: dict[str, int] = {}
+        real_store = ArtifactCache.store_tree
+
+        def store(self, stage, key, build, meta):
+            def measured(tmp_dir):
+                extra, spill_peaks[key] = _traced(build, tmp_dir)
+                return extra
+
+            return real_store(self, stage, key,
+                              measured if stage == "chunk" else build, meta)
+
+        tracemalloc.start()
+        try:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ArtifactCache, "store_tree", store)
+                stream_shard(shard, cache, chunk_jobs=400, keep_shards=True)
+        finally:
+            tracemalloc.stop()
+        assert len(spill_peaks) > 1
+        return cache, spill_peaks
+
+    def test_compaction_peaks_below_the_merged_table(self, kept, tmp_path):
+        cache, _ = kept
+        dirs = [str(e.path) for e in cache.entries("chunk")]
+        out = tmp_path / "samples.npz"
+        tracemalloc.start()
+        try:
+            _, peak = _traced(stream_mod._compact_samples, (dirs, str(out)))
+        finally:
+            tracemalloc.stop()
+        assert peak < _table_bytes(out)
+
+    def test_spill_peaks_below_the_chunk_table(self, kept):
+        cache, spill_peaks = kept
+        sizes = {
+            e.key: _table_bytes(e.path / "samples.npz")
+            for e in cache.entries("chunk") if (e.path / "samples.npz").is_file()
+        }
+        largest = max(sizes, key=sizes.get)
+        assert spill_peaks[largest] < sizes[largest]

@@ -10,7 +10,7 @@ from repro.telemetry import (
     save_samples,
     traces_from_samples,
 )
-from repro.telemetry.samples_schema import validate_samples
+from repro.telemetry.samples_schema import sample_columns, validate_samples
 
 
 class TestSamplesTable:
@@ -64,6 +64,28 @@ class TestRoundTrip:
         with pytest.raises(SchemaError, match="expected"):
             traces_from_samples(samples)
 
+    def test_duplicate_standing_in_for_a_missing_sample_rejected(self, emmy_small):
+        samples = samples_table(emmy_small)
+        # Row 1 (minute 1 of the first job's first node) replaced by a
+        # copy of row 0: the job keeps its row count.
+        rows = np.r_[0, 0, np.arange(2, len(samples))]
+        with pytest.raises(SchemaError, match="1 missing"):
+            traces_from_samples(samples.take(rows))
+
+    def test_row_order_does_not_matter(self, emmy_small):
+        """``load_samples`` accepts CSV rows in any order; so must grouping."""
+        samples = samples_table(emmy_small)
+        shuffled = samples.take(np.random.default_rng(5).permutation(len(samples)))
+        traces, allocations = traces_from_samples(samples, emmy_small.jobs)
+        back, back_alloc = traces_from_samples(shuffled, emmy_small.jobs)
+        assert list(back) == list(traces) == sorted(emmy_small.traces)
+        for job_id, trace in traces.items():
+            assert (back[job_id].user_id, back[job_id].app) == (trace.user_id, trace.app)
+            np.testing.assert_array_equal(back[job_id].matrix, trace.matrix)
+            np.testing.assert_array_equal(back_alloc[job_id], allocations[job_id])
+        with pytest.raises(SchemaError, match="expected"):
+            traces_from_samples(shuffled.take(slice(1, None)))
+
 
 class TestPersistence:
     def test_npz_roundtrip(self, emmy_small, tmp_path):
@@ -78,6 +100,36 @@ class TestPersistence:
         save_samples(samples, path)
         back = load_samples(path)
         np.testing.assert_allclose(back["power_w"], samples["power_w"])
+
+    def test_column_stream_writes_the_table_bytes(self, emmy_small, tmp_path):
+        save_samples(samples_table(emmy_small), tmp_path / "table.npz")
+        stream = sample_columns(emmy_small.traces, emmy_small.trace_allocations)
+        save_samples(stream, tmp_path / "stream.npz")
+        assert (tmp_path / "stream.npz").read_bytes() == (
+            tmp_path / "table.npz"
+        ).read_bytes()
+
+    @pytest.mark.parametrize("fault, match", [
+        ("negative", "non-negative"), ("int_power", "dtype kind"),
+        ("missing", "missing columns"),
+    ])
+    def test_column_stream_is_checked_and_leaves_no_file(
+        self, emmy_small, tmp_path, fault, match
+    ):
+        def stream():
+            for name, column in sample_columns(
+                emmy_small.traces, emmy_small.trace_allocations
+            ):
+                if name == "power_w":
+                    if fault == "missing":
+                        continue
+                    column = -column if fault == "negative" else column.astype(int)
+                yield name, column
+
+        path = tmp_path / "samples.npz"
+        with pytest.raises(SchemaError, match=match):
+            save_samples(stream(), path)
+        assert not path.exists()
 
     def test_bad_suffix(self, emmy_small, tmp_path):
         with pytest.raises(SchemaError, match="suffix"):
