@@ -31,7 +31,7 @@ from typing import Any, Callable
 
 from repro.errors import CacheError
 from repro.faults.injector import maybe_fire
-from repro.obs.metrics import REGISTRY
+from repro.obs.metrics import REGISTRY, peak_rss_bytes
 
 # Cache observability (docs/OBSERVABILITY.md). Outcomes: "hit" (entry
 # served), "miss" (no entry), "error" (unreadable entry or injected
@@ -119,6 +119,14 @@ class CacheEntry:
         return bool(self.meta.get("damaged"))
 
 
+def stage_timing(t0: float) -> dict:
+    """A stage sidecar's ``seconds`` since ``t0`` (a ``time.perf_counter()``
+    reading) and the process's ``peak_rss_bytes``. Call it once the
+    stage's files are written: the write is part of the stage."""
+    return {"seconds": round(time.perf_counter() - t0, 4),
+            "peak_rss_bytes": peak_rss_bytes()}
+
+
 class ArtifactCache:
     """Content-addressed store of pipeline stage outputs.
 
@@ -184,13 +192,22 @@ class ArtifactCache:
         (where / META_NAME).write_text(json.dumps(full, indent=2, sort_keys=True))
         return full
 
-    def store_pickle(self, stage: str, key: str, obj: Any, meta: dict) -> Path:
-        """Commit a pickled payload under (stage, key). Atomic."""
+    def store_pickle(
+        self, stage: str, key: str, obj: Any, meta: dict, t0: float | None = None
+    ) -> Path:
+        """Commit a pickled payload under (stage, key). Atomic.
+
+        Given ``t0``, the ``time.perf_counter()`` reading at which the
+        stage began, the sidecar also records :func:`stage_timing`, read
+        once the payload is written.
+        """
         if maybe_fire("cache.write"):
             raise CacheError(f"injected fault: cache.write {stage}/{key[:12]}…")
         tmp = self._tmp_dir()
         with (tmp / PAYLOAD_NAME).open("wb") as fh:
             pickle.dump(obj, fh, protocol=pickle.HIGHEST_PROTOCOL)
+        if t0 is not None:
+            meta = {**meta, **stage_timing(t0)}
         self._write_meta(tmp, stage, key, meta)
         _CACHE_WRITES.inc(stage=stage)
         return self._commit(stage, key, tmp)

@@ -13,10 +13,10 @@ from __future__ import annotations
 import time
 from typing import Any
 
-from repro.obs.metrics import DEFAULT_SECONDS_BUCKETS, REGISTRY, peak_rss_bytes
+from repro.obs.metrics import DEFAULT_SECONDS_BUCKETS, REGISTRY
 from repro.obs.tracing import trace_span
 from repro.pipeline.artifacts import load_dataset, save_dataset
-from repro.pipeline.cache import ArtifactCache
+from repro.pipeline.cache import ArtifactCache, stage_timing
 from repro.pipeline.config import (
     STAGE_FIELDS,
     STAGE_VERSIONS,
@@ -167,9 +167,7 @@ def _run_shard_stages(
                 specs = generator.generate()
                 cache.store_pickle(
                     "workload", keys["workload"], specs,
-                    {**meta_common, "n_items": len(specs),
-                     "seconds": round(time.perf_counter() - t0, 4),
-                 "peak_rss_bytes": peak_rss_bytes()},
+                    {**meta_common, "n_items": len(specs)}, t0=t0,
                 )
                 timed("workload", False, len(specs), t0)
         with staged("schedule", False):
@@ -179,9 +177,7 @@ def _run_shard_stages(
             )
             cache.store_pickle(
                 "schedule", keys["schedule"], scheduled,
-                {**meta_common, "n_items": len(scheduled),
-                 "seconds": round(time.perf_counter() - t0, 4),
-                 "peak_rss_bytes": peak_rss_bytes()},
+                {**meta_common, "n_items": len(scheduled)}, t0=t0,
             )
             timed("schedule", False, len(scheduled), t0)
 
@@ -196,9 +192,8 @@ def _run_shard_stages(
                 "telemetry", keys["telemetry"], sample,
                 {**meta_common, "n_items": sample.num_jobs,
                  "n_traces": len(sample.traces),
-                 "n_gaps": sample.n_gaps,
-                 "seconds": round(time.perf_counter() - t0, 4),
-                 "peak_rss_bytes": peak_rss_bytes()},
+                 "n_gaps": sample.n_gaps},
+                t0=t0,
             )
             timed(
                 "telemetry", False, sample.num_jobs, t0,
@@ -216,9 +211,7 @@ def _run_shard_stages(
                 "n_jobs": artifact_meta["n_jobs"],
                 "n_traces": artifact_meta["n_traces"],
                 "n_minutes": artifact_meta["n_minutes"],
-                # Read once the files are written: the write is the stage.
-                "seconds": round(time.perf_counter() - t0, 4),
-                "peak_rss_bytes": peak_rss_bytes(),
+                **stage_timing(t0),
             }
 
         cache.store_tree(

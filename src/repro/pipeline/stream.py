@@ -58,7 +58,7 @@ from repro.obs.logs import get_logger
 from repro.obs.metrics import REGISTRY, peak_rss_bytes
 from repro.obs.tracing import trace_span
 from repro.pipeline.artifacts import DATASET_META_NAME
-from repro.pipeline.cache import ArtifactCache
+from repro.pipeline.cache import ArtifactCache, stage_timing
 from repro.pipeline.config import (
     CHUNK_STAGE,
     DEFAULT_CHUNK_JOBS,
@@ -219,10 +219,7 @@ def _stream_shard(
             params, cluster.num_nodes, seed=shard.seed
         ).generate_plan()
         cache.store_pickle(
-            PLAN_STAGE, pkey, plan,
-            {**meta_common, "n_items": plan.n_jobs,
-             "seconds": round(time.perf_counter() - t0, 4),
-             "peak_rss_bytes": peak_rss_bytes()},
+            PLAN_STAGE, pkey, plan, {**meta_common, "n_items": plan.n_jobs}, t0=t0
         )
         plan_cached = False
     report.stages.append(
@@ -317,7 +314,7 @@ def _stream_shard(
                         pickle.dump(
                             checkpoint, fh, protocol=pickle.HIGHEST_PROTOCOL
                         )
-                return _finished(t0)
+                return stage_timing(t0)
 
             meta = {
                 **meta_common,
@@ -381,7 +378,7 @@ def _stream_shard(
                 json.dumps(meta, indent=2, sort_keys=True)
             )
             return {"n_jobs": n_jobs, "n_traces": n_traces,
-                    "n_minutes": n_minutes, **_finished(t0)}
+                    "n_minutes": n_minutes, **stage_timing(t0)}
 
         cache.store_tree(
             "dataset", dataset_key, build,
@@ -416,12 +413,6 @@ def _stream_shard(
         peak_rss_bytes=peak_rss_bytes(),
     )
     return report
-
-
-def _finished(t0: float) -> dict:
-    """A stage sidecar's timing fields, read once its files are written."""
-    return {"seconds": round(time.perf_counter() - t0, 4),
-            "peak_rss_bytes": peak_rss_bytes()}
 
 
 # -- compaction workers (module-level: picklable for the process pool) ---

@@ -2,11 +2,20 @@
 
 Requests arrive one record at a time from N client threads; a single
 worker thread drains them into batches and issues *one* vectorized
-``predict_fn(records)`` call per batch. Because every model's per-row
-prediction is independent of its batch-mates (tree walks, KNN distances
-against the frozen training set, FLDA projections), a batched prediction
-is bit-identical to the prediction the same record would get alone —
-batching is purely a throughput lever.
+``predict_fn(records)`` call per batch. Batching stays a pure
+throughput lever only while a record's prediction does not depend on
+its batch-mates, bit for bit:
+
+* a tree walk reads its own row only;
+* KNN keeps it by rule. numpy computes a one-row matrix product with a
+  matrix-vector BLAS routine that rounds differently from the
+  matrix-matrix one, and those last bits can flip near-tied neighbours,
+  which would make an answer depend on how many requests the batcher
+  coalesced. :class:`~repro.ml.knn.KNNRegressor` therefore sends every
+  distance block, one row included, through the matrix-matrix product;
+* FLDA's one-row scores still take the matrix-vector routine. It answers
+  the mean of the class with the highest score, so last bits change an
+  answer only where two classes' scores tie that closely.
 
 Batch formation is bounded by two knobs:
 

@@ -62,10 +62,11 @@ __all__ = [
 MODEL_STAGE = "model"
 
 # Bump a model's version to invalidate its cached fitted artifacts when
-# training semantics change (mirrors pipeline STAGE_VERSIONS).
+# training semantics or the fitted state change (mirrors pipeline
+# STAGE_VERSIONS). KNN 2: fit keeps the scaled training terms.
 _MODEL_VERSIONS: dict[str, int] = {
     "BDT": 1,
-    "KNN": 1,
+    "KNN": 2,
     "FLDA": 1,
     "GPU": 1,
     "FAIL": 1,

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.ml.knn as knn_mod
 from repro.errors import ModelError, NotFittedError
 from repro.ml import FLDARegressor, KNNRegressor
 
@@ -45,12 +46,15 @@ class TestKNN:
         m = KNNRegressor(k=50).fit(np.asarray([[0.0], [1.0]]), np.asarray([1.0, 3.0]))
         assert 1.0 <= m.predict([[0.5]])[0] <= 3.0
 
-    def test_chunking_consistent(self, rng):
+    def test_block_size_keeps_bits(self, rng, monkeypatch):
         X = rng.random((200, 3))
         y = rng.random(200)
-        a = KNNRegressor(k=5, chunk_size=7).fit(X, y).predict(X)
-        b = KNNRegressor(k=5, chunk_size=512).fit(X, y).predict(X)
-        np.testing.assert_allclose(a, b)
+        model = KNNRegressor(k=5).fit(X, y)
+        expected = model.predict(X)
+        # One-row blocks included: every block takes the same product kernel.
+        for rows in (1, 7, 64, 128, 512, 2048):
+            monkeypatch.setattr(knn_mod, "_BLOCK_DISTANCES", rows * len(y))
+            np.testing.assert_array_equal(model.predict(X), expected)
 
     def test_validation(self):
         with pytest.raises(ModelError):

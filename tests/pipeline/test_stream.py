@@ -14,22 +14,26 @@ import hashlib
 import pickle
 import time
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.pipeline.cache as cache_mod
 import repro.pipeline.stages as stages_mod
 import repro.pipeline.stream as stream_mod
 from repro.errors import PipelineError, SchedulerError
 from repro.frames import read_npz
 from repro.obs.metrics import peak_rss_bytes
 from repro.pipeline import (
+    PLAN_STAGE,
     ArtifactCache,
     ChunkPlan,
     ShardConfig,
     chunk_key,
+    plan_key,
     run_pipeline,
     run_shard,
     stage_key,
@@ -392,6 +396,21 @@ class TestSidecarTiming:
         assert len(chunks) > 1
         for timing in chunks:
             assert cache.load_meta("chunk", timing.key)["seconds"] >= 0.2
+
+    def test_pickled_sidecars_time_the_write(self, tmp_path, monkeypatch):
+        # Slow the cache's payload pickling only, not the chunk checkpoints.
+        slow_pickle = types.ModuleType("pickle")
+        slow_pickle.__dict__.update(vars(pickle))
+        slow_pickle.dump = _slowed(pickle.dump, 0.3)
+        monkeypatch.setattr(cache_mod, "pickle", slow_pickle)
+        shard = _shard(3)
+        mono = ArtifactCache(tmp_path / "mono")
+        run_shard(shard, mono, want_dataset=False)
+        for stage in ("workload", "schedule", "telemetry"):
+            assert mono.load_meta(stage, stage_key(shard, stage))["seconds"] >= 0.3
+        streamed = ArtifactCache(tmp_path / "streamed")
+        stream_shard(shard, streamed, chunk_jobs=50)
+        assert streamed.load_meta(PLAN_STAGE, plan_key(shard))["seconds"] >= 0.3
 
 
 def _traced(fn, *args):

@@ -20,6 +20,7 @@ from repro.errors import ScenarioError, ServeError
 from repro.obs.metrics import REGISTRY
 from repro.serve import PredictionService, PredictRequest
 from repro.serve.http import PredictionServer
+from repro.spec import ScenarioSpec
 from tests.helpers.served import ServedSystem
 
 
@@ -65,21 +66,17 @@ def test_batched_predictions_bit_identical_to_direct(service, tiny_records, dire
     np.testing.assert_array_equal(batched, direct)
 
 
-def test_concurrent_clients_get_bit_identical_predictions(
-    service, tiny_records, direct
-):
-    """8 threads of single-job requests: coalesced, still exact."""
-    n_threads = 8
-    batched_before = REGISTRY.get("repro_batch_requests_total").total()
-    out = np.full(len(tiny_records), np.nan)
+def _concurrent_singles(service, records, model="BDT", n_threads=8):
+    """Each record in its own request, from ``n_threads`` threads at once."""
+    out = np.full(len(records), np.nan)
     errors: list[BaseException] = []
     barrier = threading.Barrier(n_threads)
 
     def client(worker: int) -> None:
         barrier.wait()
         try:
-            for i in range(worker, len(tiny_records), n_threads):
-                out[i] = _predict(service, [tiny_records[i]])[0]
+            for i in range(worker, len(records), n_threads):
+                out[i] = _predict(service, [records[i]], model=model)[0]
         except BaseException as exc:  # surfaced after join
             errors.append(exc)
 
@@ -89,7 +86,15 @@ def test_concurrent_clients_get_bit_identical_predictions(
     for t in threads:
         t.join()
     assert not errors
-    np.testing.assert_array_equal(out, direct)
+    return out
+
+
+def test_concurrent_clients_get_bit_identical_predictions(
+    service, tiny_records, direct
+):
+    """8 threads of single-job requests: coalesced, still exact."""
+    batched_before = REGISTRY.get("repro_batch_requests_total").total()
+    np.testing.assert_array_equal(_concurrent_singles(service, tiny_records), direct)
     total = REGISTRY.get("repro_batch_requests_total").total() - batched_before
     assert total >= len(tiny_records)
 
@@ -542,3 +547,53 @@ def test_stdlib_errors_answer_json_in_one_write(counting_server):
     data = _raw_exchange(counting_server.port, b"FOO\r\n")
     assert json.loads(data)["error"].startswith("Bad request syntax")
     assert requests.value(endpoint="other") == before + 4
+
+
+# -- KNN: an answer does not depend on its batch -------------------------
+
+#: emmy seed 3, 8 users, 4 days (112 jobs). While a one-row KNN block took
+#: numpy's matrix-vector product, job 71 (u0002, 6 nodes, 10,800 s)
+#: answered 136.02 W alone and 117.81 W in a batch.
+KNN_SPEC = ScenarioSpec("emmy", seed=3, num_nodes=24, num_users=8, horizon_days=4)
+
+
+@pytest.fixture(scope="module")
+def knn_served(serve_cache):
+    from repro.pipeline import build_dataset
+
+    jobs = build_dataset(**KNN_SPEC.dataset_kwargs(), cache_dir=serve_cache).jobs
+    records = [
+        {
+            "user": str(jobs["user"][i]),
+            "nodes": int(jobs["nodes"][i]),
+            "req_walltime_s": int(jobs["req_walltime_s"][i]),
+        }
+        for i in range(len(jobs))
+    ]
+    svc = PredictionService(KNN_SPEC, cache_dir=serve_cache, max_wait_s=0.001)
+    try:
+        with ServedSystem(service=svc) as system:
+            yield svc, system, records
+    finally:
+        svc.close()
+
+
+def test_knn_batched_equals_unbatched(knn_served):
+    service, system, records = knn_served
+    direct = service.registry.get(KNN_SPEC, "KNN").predict_records(records)
+    np.testing.assert_array_equal(_predict(service, records, model="KNN"), direct)
+    np.testing.assert_array_equal(
+        _concurrent_singles(service, records, model="KNN"), direct
+    )
+    alone = []
+    for record in records:
+        status, answer = _http(
+            system, "POST", "/v1/predict", {"model": "KNN", "job": record}
+        )
+        assert status == 200
+        alone.append(answer["predictions"][0])
+    np.testing.assert_array_equal(np.asarray(alone), direct)
+    body = b"\n".join(json.dumps(r).encode() for r in records)
+    status, _, data = _bulk(system, body, path="/v1/predict/bulk?model=KNN")
+    assert status == 200
+    np.testing.assert_array_equal(np.asarray([float(v) for v in data.split()]), direct)
