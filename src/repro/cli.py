@@ -579,13 +579,13 @@ def _cmd_serve_lifecycle(args: argparse.Namespace) -> int:
                 print(f"(no lifecycle events for scenario {spec.label})",
                       file=sys.stderr)
         elif verb == "replay":
-            from repro.pipeline import build_dataset
+            from repro.pipeline import build_jobs
 
-            ds = build_dataset(
+            jobs = build_jobs(
                 **spec.dataset_kwargs(), cache_dir=registry.cache.root
             )
             result = replay_feedback(
-                manager, ds.jobs, limit=args.limit, batch=args.batch
+                manager, jobs, limit=args.limit, batch=args.batch
             )
             print(f"replayed {result['replayed']} jobs "
                   f"(learner has seen {result['learner_jobs']}; "

@@ -45,6 +45,8 @@ catalog, bundle format, and grading metrics.
 Every symbol resolves lazily (PEP 562), matching the sibling packages.
 """
 
+from repro import _lazy
+
 __all__ = [
     "BASELINE_DETECTORS",
     "DetectorAnswer",
@@ -88,17 +90,4 @@ _LAZY_ATTRS = {
     "grade_answer": "repro.incidents.grader",
 }
 
-
-def __getattr__(name: str):
-    module_name = _LAZY_ATTRS.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    value = getattr(importlib.import_module(module_name), name)
-    globals()[name] = value  # cache so later lookups skip this hook
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_LAZY_ATTRS))
+__getattr__, __dir__ = _lazy.exports(__name__, _LAZY_ATTRS)

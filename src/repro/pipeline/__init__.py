@@ -8,6 +8,8 @@ over independent (system, seed) shards.
 * :func:`build_dataset` — cached drop-in for
   :func:`repro.telemetry.generate_dataset` (one shard, returns the
   dataset).
+* :func:`build_jobs` — the same shard, returning only its job table
+  (read through :func:`load_jobs`; the samples stay on disk).
 * :func:`run_pipeline` — build many shards, optionally in parallel;
   returns a :class:`RunManifest` with per-stage wall time, throughput,
   and cache-hit records.
@@ -16,16 +18,17 @@ over independent (system, seed) shards.
 
 Only the light bookkeeping surface (the cache and
 :mod:`repro.pipeline.config`) is imported eagerly; the execution surface
-(:func:`build_dataset`, :func:`run_pipeline`, :func:`run_shard`, the
-artifact serializers) loads on first attribute access via PEP 562, so
-``python -m repro pipeline status``/``clean`` never import numpy, scipy,
-or the simulation layers.
+(:func:`build_dataset`, :func:`build_jobs`, :func:`run_pipeline`,
+:func:`run_shard`, the artifact serializers) loads on first attribute
+access via PEP 562, so ``python -m repro pipeline status``/``clean``
+never import numpy, scipy, or the simulation layers.
 
 See docs/PIPELINE.md for the stage graph, cache layout, invalidation
 keys, parallelism model, and manifest schema; the CLI surface is
 ``python -m repro pipeline run|run-all|status|clean``.
 """
 
+from repro import _lazy
 from repro.pipeline.cache import (
     ArtifactCache,
     CacheEntry,
@@ -66,11 +69,13 @@ __all__ = [
     "ShardReport",
     "StageTiming",
     "build_dataset",
+    "build_jobs",
     "canonical_json",
     "chunk_key",
     "content_key",
     "default_cache_dir",
     "load_dataset",
+    "load_jobs",
     "plan_key",
     "run_pipeline",
     "run_shard",
@@ -84,25 +89,14 @@ _LAZY_ATTRS = {
     "MANIFEST_NAME": "repro.pipeline.runner",
     "RunManifest": "repro.pipeline.runner",
     "build_dataset": "repro.pipeline.runner",
+    "build_jobs": "repro.pipeline.runner",
     "run_pipeline": "repro.pipeline.runner",
     "run_shard": "repro.pipeline.stages",
     "load_dataset": "repro.pipeline.artifacts",
+    "load_jobs": "repro.pipeline.artifacts",
     "save_dataset": "repro.pipeline.artifacts",
     "ChunkPlan": "repro.pipeline.stream",
     "stream_shard": "repro.pipeline.stream",
 }
 
-
-def __getattr__(name: str):
-    module_name = _LAZY_ATTRS.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    value = getattr(importlib.import_module(module_name), name)
-    globals()[name] = value  # cache so later lookups skip this hook
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_LAZY_ATTRS))
+__getattr__, __dir__ = _lazy.exports(__name__, _LAZY_ATTRS)

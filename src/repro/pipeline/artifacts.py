@@ -39,7 +39,7 @@ from repro.telemetry.samples_schema import (
 )
 from repro.telemetry.schema import load_jobs_npz, save_jobs_npz
 
-__all__ = ["DATASET_META_NAME", "save_dataset", "load_dataset"]
+__all__ = ["DATASET_META_NAME", "save_dataset", "load_dataset", "load_jobs"]
 
 DATASET_META_NAME = "dataset.json"
 
@@ -88,18 +88,28 @@ def save_dataset(dataset: JobDataset, out_dir: str | os.PathLike) -> dict:
     return meta
 
 
+def load_jobs(artifact_dir: str | os.PathLike) -> Table:
+    """The job-level table of a :func:`save_dataset` artifact, alone.
+
+    Reads ``jobs.npz`` only (validated against ``JOB_COLUMNS``), never
+    the samples or the timeline: what a consumer of job-level fields,
+    such as a pre-execution power predictor, needs.
+    """
+    artifact_dir = Path(artifact_dir)
+    if not (artifact_dir / DATASET_META_NAME).is_file():
+        raise CacheError(f"{artifact_dir} is not a dataset artifact (no dataset.json)")
+    return load_jobs_npz(artifact_dir / _JOBS_NAME)
+
+
 def load_dataset(artifact_dir: str | os.PathLike) -> JobDataset:
     """Rebuild a :class:`JobDataset` from a :func:`save_dataset` artifact."""
     artifact_dir = Path(artifact_dir)
-    meta_path = artifact_dir / DATASET_META_NAME
-    if not meta_path.is_file():
-        raise CacheError(f"{artifact_dir} is not a dataset artifact (no dataset.json)")
-    meta = json.loads(meta_path.read_text())
+    jobs = load_jobs(artifact_dir)
+    meta = json.loads((artifact_dir / DATASET_META_NAME).read_text())
     spec_fields = dict(meta["spec"])
     spec_fields["inflow_temperature_c"] = tuple(spec_fields["inflow_temperature_c"])
     spec = SystemSpec(**spec_fields)
 
-    jobs = load_jobs_npz(artifact_dir / _JOBS_NAME)
     timeline = read_npz(artifact_dir / _TIMELINE_NAME)
 
     traces: dict[int, np.ndarray] = {}

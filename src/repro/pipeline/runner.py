@@ -20,16 +20,18 @@ from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 from repro.errors import PipelineError
+from repro.frames import Table
 from repro.obs.logs import get_logger
 from repro.obs.metrics import DEFAULT_SECONDS_BUCKETS, REGISTRY, peak_rss_bytes
 from repro.obs.tracing import trace_span
+from repro.pipeline.artifacts import load_jobs
 from repro.pipeline.cache import ArtifactCache, canonical_json, default_cache_dir
 from repro.pipeline.config import DEFAULT_CHUNK_JOBS
 from repro.pipeline.stages import ShardConfig, ShardReport, run_shard
 from repro.pipeline.stream import stream_shard
 from repro.telemetry.dataset import JobDataset
 
-__all__ = ["RunManifest", "run_pipeline", "build_dataset", "MANIFEST_NAME"]
+__all__ = ["RunManifest", "run_pipeline", "build_dataset", "build_jobs", "MANIFEST_NAME"]
 
 _RUNS = REGISTRY.counter(
     "repro_pipeline_runs_total",
@@ -245,6 +247,29 @@ def run_pipeline(
     return manifest
 
 
+def _dataset_shard(
+    system: str,
+    seed: int,
+    num_nodes: int | None,
+    num_users: int | None,
+    horizon_s: int | None,
+    max_traces: int,
+    backfill_depth: int,
+    params_overrides: dict | None,
+    variability_sigma: float | None,
+    cache_dir: str | os.PathLike | None,
+) -> tuple[ShardConfig, ArtifactCache]:
+    """The shard and cache :func:`build_dataset` and :func:`build_jobs` run."""
+    shard = ShardConfig(
+        system=system, seed=seed, num_nodes=num_nodes, num_users=num_users,
+        horizon_s=horizon_s, max_traces=max_traces, backfill_depth=backfill_depth,
+        variability_sigma=variability_sigma,
+        params_overrides=tuple((params_overrides or {}).items()),
+    )
+    cache = ArtifactCache(Path(cache_dir) if cache_dir is not None else default_cache_dir())
+    return shard, cache
+
+
 def build_dataset(
     system: str = "emmy",
     seed: int = 0,
@@ -265,13 +290,39 @@ def build_dataset(
     re-running the simulation. ``cache_dir`` defaults to
     :func:`repro.pipeline.default_cache_dir`.
     """
-    shard = ShardConfig(
-        system=system, seed=seed, num_nodes=num_nodes, num_users=num_users,
-        horizon_s=horizon_s, max_traces=max_traces, backfill_depth=backfill_depth,
-        variability_sigma=variability_sigma,
-        params_overrides=tuple((params_overrides or {}).items()),
+    shard, cache = _dataset_shard(
+        system, seed, num_nodes, num_users, horizon_s, max_traces,
+        backfill_depth, params_overrides, variability_sigma, cache_dir,
     )
-    cache = ArtifactCache(Path(cache_dir) if cache_dir is not None else default_cache_dir())
     _, dataset = run_shard(shard, cache, want_dataset=True)
     assert dataset is not None
     return dataset
+
+
+def build_jobs(
+    system: str = "emmy",
+    seed: int = 0,
+    num_nodes: int | None = None,
+    num_users: int | None = None,
+    horizon_s: int | None = None,
+    max_traces: int = 2000,
+    backfill_depth: int = 100,
+    params_overrides: dict | None = None,
+    variability_sigma: float | None = None,
+    cache_dir: str | os.PathLike | None = None,
+) -> Table:
+    """The job table of :func:`build_dataset`'s dataset, read alone.
+
+    Same parameters and cache entry as :func:`build_dataset`, and the
+    same table as its ``.jobs``, but a committed entry is read through
+    :func:`~repro.pipeline.artifacts.load_jobs`: the node×minute
+    samples and the timeline stay on disk. A cold cache builds and
+    commits the whole dataset first, byte-identical to
+    :func:`build_dataset`'s.
+    """
+    shard, cache = _dataset_shard(
+        system, seed, num_nodes, num_users, horizon_s, max_traces,
+        backfill_depth, params_overrides, variability_sigma, cache_dir,
+    )
+    report, _ = run_shard(shard, cache, want_dataset=False)
+    return load_jobs(cache.entry_dir("dataset", report.dataset_key))

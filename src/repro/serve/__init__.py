@@ -41,6 +41,8 @@ Every symbol resolves lazily (PEP 562) so importing :mod:`repro` or the
 CLI's bookkeeping commands never pays for numpy or the ML layer.
 """
 
+from repro import _lazy
+
 __all__ = [
     "DriftDetector",
     "FlatBDT",
@@ -84,17 +86,4 @@ _LAZY_ATTRS = {
     "create_server": "repro.serve.http",
 }
 
-
-def __getattr__(name: str):
-    module_name = _LAZY_ATTRS.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    value = getattr(importlib.import_module(module_name), name)
-    globals()[name] = value  # cache so later lookups skip this hook
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_LAZY_ATTRS))
+__getattr__, __dir__ = _lazy.exports(__name__, _LAZY_ATTRS)

@@ -29,11 +29,19 @@ Lookup order on :meth:`ModelRegistry.get`:
    stage of the same :class:`~repro.pipeline.ArtifactCache` the pipeline
    uses (``pipeline status`` lists them, ``pipeline clean --stage model``
    drops them);
-3. **train** — version 1 only: build the scenario's dataset through the
-   cached pipeline (:func:`repro.pipeline.build_dataset`), fit via the
-   shared :func:`repro.ml.fit_predictor` path, commit to the artifact
-   cache. Versions 2+ are snapshots, not re-derivable — a missing
-   artifact raises instead of silently retraining something different.
+3. **train** — version 1 only: read the scenario's job table through
+   the cached pipeline (:func:`repro.pipeline.build_jobs`; every served
+   model reads job-level fields only, so the node×minute samples are
+   never loaded), fit via the shared :func:`repro.ml.fit_predictor`
+   path, commit to the artifact cache. Versions 2+ are snapshots, not
+   re-derivable — a missing artifact raises instead of silently
+   retraining something different.
+
+Only the warm-LRU lookup and the bookkeeping hold the registry lock; a
+disk load or a training runs outside it, so a cold model never stalls
+requests for a warm one. One in-flight marker per key makes concurrent
+misses on the same key wait for one load or training instead of
+repeating it.
 """
 
 from __future__ import annotations
@@ -100,7 +108,7 @@ _LOOKUPS = REGISTRY.counter(
 )
 _TRAIN_SECONDS = REGISTRY.histogram(
     "repro_model_train_seconds",
-    "Wall time of one model training (dataset build + fit).",
+    "Wall time of one model training (job table read + fit).",
     buckets=DEFAULT_SECONDS_BUCKETS,
     labelnames=("model",),
 )
@@ -233,6 +241,9 @@ class ModelRegistry:
         self._lru: "OrderedDict[tuple[str, str, int, int], Any]" = OrderedDict()
         self._fallbacks: dict[str, MeanPowerServable] = {}
         self._lock = threading.RLock()
+        # Keys some thread is loading or training right now, each with
+        # the event it sets when done (see _claim).
+        self._inflight: dict[tuple, threading.Event] = {}
         self.hits = 0
         self.misses = 0
         self.disk_loads = 0
@@ -296,21 +307,21 @@ class ModelRegistry:
         Version 1 trains on first use; versions 2+ are immutable
         lifecycle snapshots and raise :class:`~repro.errors.ServeError`
         when their artifact is missing (they cannot be re-derived).
-        Thread-safe; concurrent misses on the same key train once.
+        Thread-safe; concurrent misses on the same key train once, and
+        a miss never blocks gets of other keys.
         """
         self.check_model_name(model)
         version = self.check_version(version)
         key = (spec.dataset_digest, model, _MODEL_VERSIONS[model], version)
-        with self._lock:
-            servable = self._lru.get(key)
-            if servable is not None:
-                self._lru.move_to_end(key)
-                self.hits += 1
-                _LOOKUPS.inc(outcome="hit")
-                return servable
-            self.misses += 1
+        servable = self._claim(key, lambda: self._warm(key))
+        if servable is not None:
+            return servable
+        try:
+            with self._lock:
+                self.misses += 1
             disk_key = self.model_key(spec, model, version)
             servable = self._load_cached(disk_key) if self.use_disk else None
+            outcome = "disk"
             if servable is None:
                 if version != 1:
                     raise ServeError(
@@ -320,17 +331,56 @@ class ModelRegistry:
                         "exists)"
                     )
                 servable = self._train(spec, model)
-                self.trained += 1
-                _LOOKUPS.inc(outcome="trained")
+                outcome = "trained"
                 if self.use_disk:
                     self._store(spec, model, disk_key, servable, version)
-            else:
-                _LOOKUPS.inc(outcome="disk")
             servable = self._specialize(servable, model)
-            self._lru[key] = servable
-            while len(self._lru) > self.capacity:
-                self._lru.popitem(last=False)
+            with self._lock:
+                if outcome == "trained":
+                    self.trained += 1
+                _LOOKUPS.inc(outcome=outcome)
+                self._lru[key] = servable
+                while len(self._lru) > self.capacity:
+                    self._lru.popitem(last=False)
             return servable
+        finally:
+            self._release(key)
+
+    def _warm(self, key):
+        """The warm servable for an LRU ``key`` (counted as a hit), or None.
+
+        Call with the lock held.
+        """
+        servable = self._lru.get(key)
+        if servable is not None:
+            self._lru.move_to_end(key)
+            self.hits += 1
+            _LOOKUPS.inc(outcome="hit")
+        return servable
+
+    def _claim(self, key, lookup):
+        """``lookup()``'s value, or None once the caller owns building ``key``.
+
+        ``lookup`` runs under the lock. While another thread builds the
+        same key, this waits for it outside the lock and looks again, so
+        a failed build is retried by the next caller, as a serial miss
+        would be. The owner must call :meth:`_release` when done.
+        """
+        while True:
+            with self._lock:
+                value = lookup()
+                if value is not None:
+                    return value
+                busy = self._inflight.get(key)
+                if busy is None:
+                    self._inflight[key] = threading.Event()
+                    return None
+            busy.wait()
+
+    def _release(self, key) -> None:
+        """End the build of ``key`` that :meth:`_claim` handed out."""
+        with self._lock:
+            self._inflight.pop(key).set()
 
     def put(self, spec: ScenarioSpec, model: str, servable, version: int, meta=None):
         """Commit an immutable lineage snapshot as ``version``.
@@ -441,10 +491,12 @@ class ModelRegistry:
                 if not self.cache.has(MODEL_STAGE, disk_key):
                     return None
                 servable = self.cache.load_pickle(MODEL_STAGE, disk_key)
-                self.disk_loads += 1
+                with self._lock:
+                    self.disk_loads += 1
                 return servable
             except Exception:  # noqa: BLE001 — unpickling can raise anything
-                self.load_failures += 1
+                with self._lock:
+                    self.load_failures += 1
                 if attempt < self.load_retries:
                     time.sleep(self.retry_backoff_s * (2**attempt))
         return None
@@ -477,17 +529,18 @@ class ModelRegistry:
             )
         except CacheError:
             # Serve from memory; the next cold registry simply retrains.
-            self.store_failures += 1
+            with self._lock:
+                self.store_failures += 1
 
     def _train(self, spec: ScenarioSpec, model: str):
-        """Build the scenario's dataset (cached) and fit one model on it."""
+        """Read the scenario's job table (cached) and fit one model on it."""
         if maybe_fire("registry.train"):
             raise ServeError(f"injected fault: registry.train {spec.label}/{model}")
         t0 = time.perf_counter()
         with trace_span("registry.train", model=model, scenario=spec.label):
-            dataset = self._build_dataset(spec)
+            jobs = self._jobs(spec)
             if model == "online":
-                servable = _fit_online(dataset.jobs)
+                servable = _fit_online(jobs)
             elif model in ("GPU", "FAIL"):
                 from repro.analysis.prediction import default_models, failure_models
                 from repro.ml import FAILURE_TRACK, GPU_POWER_TRACK, fit_predictor
@@ -502,7 +555,7 @@ class ModelRegistry:
                     else failure_models()["BDT"]
                 )
                 servable = fit_predictor(
-                    track.select(dataset.jobs),
+                    track.select(jobs),
                     factory,
                     model_name=model,
                     feature_spec=track.feature_spec(),
@@ -513,26 +566,28 @@ class ModelRegistry:
                 from repro.ml import fit_predictor
 
                 servable = fit_predictor(
-                    dataset.jobs, default_models()[model], model_name=model
+                    jobs, default_models()[model], model_name=model
                 )
         self.last_train_seconds = round(time.perf_counter() - t0, 4)
         _TRAIN_SECONDS.observe(time.perf_counter() - t0, model=model)
         return servable
 
-    def _build_dataset(self, spec: ScenarioSpec):
-        from repro.telemetry import generate_dataset
-
+    def _jobs(self, spec: ScenarioSpec):
+        """The scenario's job table: every served model trains on it alone."""
         if self.use_disk:
-            from repro.pipeline import build_dataset
+            from repro.pipeline import build_jobs
 
             try:
-                return build_dataset(**spec.dataset_kwargs(), cache_dir=self.cache.root)
+                return build_jobs(**spec.dataset_kwargs(), cache_dir=self.cache.root)
             except CacheError:
                 # The staged cache is unusable (disk trouble, injected
                 # cache faults): fall back to the in-memory pipeline,
                 # which builds the byte-identical dataset cache-free.
-                self.dataset_fallbacks += 1
-        return generate_dataset(**spec.dataset_kwargs())
+                with self._lock:
+                    self.dataset_fallbacks += 1
+        from repro.telemetry import generate_dataset
+
+        return generate_dataset(**spec.dataset_kwargs()).jobs
 
     def fallback(self, spec: ScenarioSpec) -> MeanPowerServable:
         """The degraded-mode mean-power baseline for a scenario.
@@ -541,12 +596,13 @@ class ModelRegistry:
         power (deterministic); if even that cannot be built, a constant
         fraction of the system's TDP keeps the service answering.
         """
-        with self._lock:
-            servable = self._fallbacks.get(spec.dataset_digest)
-            if servable is not None:
-                return servable
+        key = ("fallback", spec.dataset_digest)
+        servable = self._claim(key, lambda: self._fallbacks.get(spec.dataset_digest))
+        if servable is not None:
+            return servable
+        try:
             try:
-                jobs = self._build_dataset(spec).jobs
+                jobs = self._jobs(spec)
                 servable = MeanPowerServable(
                     float(jobs["pernode_power_w"].astype(float).mean()),
                     n_train=len(jobs),
@@ -557,8 +613,11 @@ class ModelRegistry:
                 servable = MeanPowerServable(
                     _FALLBACK_TDP_FRACTION * get_spec(spec.system).node_tdp_watts
                 )
-            self._fallbacks[spec.dataset_digest] = servable
+            with self._lock:
+                self._fallbacks[spec.dataset_digest] = servable
             return servable
+        finally:
+            self._release(key)
 
     # -- inspection ------------------------------------------------------
 

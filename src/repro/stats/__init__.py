@@ -4,15 +4,14 @@ The kernels here (ECDF/PDF construction, Spearman rank correlation with
 p-value, Lorenz-style concentration curves, bootstrap confidence
 intervals) are implemented from scratch on NumPy and, where scipy offers
 a reference implementation, cross-checked against it in the test suite.
+
+Every name resolves lazily (PEP 562): ``from repro.stats.distributions
+import ECDF`` loads that module alone, and only
+:mod:`repro.stats.correlation` (``pearson``, ``spearman``) imports
+``scipy.special``.
 """
 
-from repro.stats.binning import freedman_diaconis_bins, histogram_pdf
-from repro.stats.bootstrap import bootstrap_ci
-from repro.stats.concentration import lorenz_curve, overlap_fraction, top_share
-from repro.stats.correlation import pearson, spearman
-from repro.stats.kstest import KsResult, ks_two_sample
-from repro.stats.descriptive import coefficient_of_variation, describe, weighted_mean
-from repro.stats.distributions import ECDF, cdf_at, fraction_below, quantile
+from repro import _lazy
 
 __all__ = [
     "ECDF",
@@ -33,3 +32,26 @@ __all__ = [
     "KsResult",
     "ks_two_sample",
 ]
+
+# Lazy attribute map (PEP 562): name -> defining module.
+_LAZY_ATTRS = {
+    "ECDF": "repro.stats.distributions",
+    "cdf_at": "repro.stats.distributions",
+    "fraction_below": "repro.stats.distributions",
+    "quantile": "repro.stats.distributions",
+    "pearson": "repro.stats.correlation",
+    "spearman": "repro.stats.correlation",
+    "lorenz_curve": "repro.stats.concentration",
+    "top_share": "repro.stats.concentration",
+    "overlap_fraction": "repro.stats.concentration",
+    "bootstrap_ci": "repro.stats.bootstrap",
+    "describe": "repro.stats.descriptive",
+    "weighted_mean": "repro.stats.descriptive",
+    "coefficient_of_variation": "repro.stats.descriptive",
+    "histogram_pdf": "repro.stats.binning",
+    "freedman_diaconis_bins": "repro.stats.binning",
+    "KsResult": "repro.stats.kstest",
+    "ks_two_sample": "repro.stats.kstest",
+}
+
+__getattr__, __dir__ = _lazy.exports(__name__, _LAZY_ATTRS)

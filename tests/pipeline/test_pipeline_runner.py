@@ -3,14 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.errors import PipelineError
+from repro.errors import CacheError, PipelineError
 from repro.pipeline import (
     MANIFEST_NAME,
     ArtifactCache,
     RunManifest,
     ShardConfig,
     build_dataset,
+    build_jobs,
     load_dataset,
+    load_jobs,
     run_pipeline,
     save_dataset,
     stage_key,
@@ -62,6 +64,42 @@ class TestBuildDataset:
         assert len(cache.entries("schedule")) == 1
         assert len(cache.entries("telemetry")) == 2
         assert len(cache.entries("dataset")) == 2
+
+
+def assert_tables_identical(a, b) -> None:
+    """Same columns in the same order, same dtypes, bitwise-equal values."""
+    assert a.column_names == b.column_names
+    for col in a.column_names:
+        assert a[col].dtype == b[col].dtype, col
+        assert np.array_equal(a[col], b[col]), col
+
+
+class TestBuildJobs:
+    def test_matches_build_dataset_cold_and_warm(self, tmp_path):
+        jobs_cold = build_jobs("emmy", seed=1, cache_dir=tmp_path / "a", **TINY)
+        dataset_cold = build_dataset("emmy", seed=1, cache_dir=tmp_path / "b", **TINY)
+        jobs_warm = build_jobs("emmy", seed=1, cache_dir=tmp_path / "b", **TINY)
+        dataset_warm = build_dataset("emmy", seed=1, cache_dir=tmp_path / "a", **TINY)
+        for jobs in (jobs_cold, jobs_warm):
+            for dataset in (dataset_cold, dataset_warm):
+                assert_tables_identical(jobs, dataset.jobs)
+
+    def test_cold_build_commits_the_same_dataset_entry(self, tmp_path):
+        build_jobs("meggie", seed=2, cache_dir=tmp_path / "a", **TINY)
+        build_dataset("meggie", seed=2, cache_dir=tmp_path / "b", **TINY)
+        key = stage_key(ShardConfig("meggie", seed=2, **TINY), "dataset")
+        entries = {
+            side: ArtifactCache(tmp_path / side).entry_dir("dataset", key)
+            for side in ("a", "b")
+        }
+        names = sorted(p.name for p in entries["a"].iterdir() if p.suffix == ".npz")
+        assert names == ["jobs.npz", "samples.npz", "timeline.npz"]
+        for name in names + ["dataset.json"]:
+            assert (entries["a"] / name).read_bytes() == (entries["b"] / name).read_bytes()
+
+    def test_load_jobs_rejects_a_non_artifact(self, tmp_path):
+        with pytest.raises(CacheError, match="not a dataset artifact"):
+            load_jobs(tmp_path)
 
 
 class TestArtifactRoundTrip:

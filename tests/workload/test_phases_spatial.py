@@ -6,8 +6,34 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import WorkloadError
-from repro.workload.phases import PROFILE_KINDS, TemporalProfile, make_profile
+from repro.workload.phases import PROFILE_KINDS, TemporalProfile, _ar1, make_profile
 from repro.workload.spatial import SpatialModel, make_spatial_model
+
+
+class TestAR1:
+    """The AR(1) wander against ``scipy.signal.lfilter``, its old kernel."""
+
+    @staticmethod
+    def _lfilter_reference(n, sigma, seed, rho):
+        from scipy.signal import lfilter
+
+        rng = np.random.default_rng(seed)
+        innovations = rng.normal(0.0, sigma * np.sqrt(1 - rho * rho), size=n)
+        innovations[0] = rng.normal(0.0, sigma)
+        return np.clip(1.0 + lfilter([1.0], [1.0, -rho], innovations), 0.3, 1.7)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 1440, 5000])
+    @pytest.mark.parametrize("seed", [0, 7, 2020])
+    @pytest.mark.parametrize("sigma", [0.012, 0.035, 0.4])
+    @pytest.mark.parametrize("rho", [0.96, 0.5])
+    def test_bit_identical_to_lfilter(self, n, seed, sigma, rho):
+        got = _ar1(n, sigma, np.random.default_rng(seed), rho=rho)
+        np.testing.assert_array_equal(got, self._lfilter_reference(n, sigma, seed, rho))
+
+    def test_zero_sigma_is_flat_and_draws_nothing(self):
+        rng = np.random.default_rng(5)
+        np.testing.assert_array_equal(_ar1(9, 0.0, rng), np.ones(9))
+        assert rng.random() == np.random.default_rng(5).random()
 
 
 class TestTemporalProfile:
