@@ -22,7 +22,7 @@ def results(emmy_full, meggie_full):
 
 def test_fig14_prediction_error(benchmark, report, emmy_full, results):
     # Time one representative evaluation round (BDT on Emmy).
-    from repro.analysis.prediction import default_models
+    from repro.ml import default_models
 
     bdt_only = {"BDT": default_models()["BDT"]}
     benchmark.pedantic(

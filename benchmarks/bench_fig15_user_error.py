@@ -8,7 +8,7 @@ import numpy as np
 from conftest import fmt_pct
 
 from repro.analysis import run_prediction, user_totals
-from repro.analysis.prediction import default_models
+from repro.ml import default_models
 from repro.stats.correlation import spearman
 
 

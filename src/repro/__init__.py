@@ -11,7 +11,8 @@ The package has four layers:
 2. **Analyses** — :mod:`repro.analysis`, one function per paper
    figure/table.
 3. **Policies** — :mod:`repro.policy`, the paper's implications turned
-   into simulators (power capping, over-provisioning, pricing).
+   into simulators (power capping, over-provisioning, power-aware
+   scheduling).
 4. **Pipeline** — :mod:`repro.pipeline`, a staged experiment runner
    with a content-addressed artifact cache and multiprocessing fan-out
    (``python -m repro pipeline run|run-all|status|clean``).

@@ -18,8 +18,6 @@ from repro.analysis.job_level import (
 from repro.analysis.full_report import full_report
 from repro.analysis.phase_detection import PhaseAnalysis, analyze_phases, detect_phases
 from repro.analysis.prediction import (
-    default_models,
-    failure_models,
     run_failure_classification,
     run_gpu_prediction,
     run_prediction,
@@ -67,8 +65,6 @@ __all__ = [
     "user_power_variability",
     "ClusterVariability",
     "cluster_variability",
-    "default_models",
-    "failure_models",
     "run_prediction",
     "run_track",
     "run_gpu_prediction",

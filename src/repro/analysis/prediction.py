@@ -19,53 +19,20 @@ from repro.errors import AnalysisError
 from repro.ml import (
     FAILURE_TRACK,
     GPU_POWER_TRACK,
-    DecisionTreeRegressor,
-    FLDARegressor,
-    KNNRegressor,
     PredictionResult,
     Track,
+    default_models,
     evaluate_models,
+    failure_models,
 )
 from repro.telemetry.dataset import JobDataset
 
 __all__ = [
-    "default_models",
-    "failure_models",
     "run_prediction",
     "run_track",
     "run_gpu_prediction",
     "run_failure_classification",
 ]
-
-
-def default_models() -> dict[str, Callable[[], object]]:
-    """The paper's three models (Fig 14), best-performing first.
-
-    * **BDT** — CART with the user as a native categorical feature;
-      shallow leaves resolve down to job classes.
-    * **KNN** — k=5 with every feature treated numerically (user id
-      included), so nearby (nodes, walltime) jobs of *other* users bleed
-      in — exactly the failure mode the paper diagnoses for KNN.
-    * **FLDA** — 10 power classes, linear boundaries.
-    """
-    return {
-        "BDT": lambda: DecisionTreeRegressor(min_samples_leaf=3),
-        "KNN": lambda: KNNRegressor(k=5, use_categorical=False, weighting="uniform"),
-        "FLDA": lambda: FLDARegressor(n_bins=10),
-    }
-
-
-def failure_models() -> dict[str, Callable[[], object]]:
-    """Probability models for the failure track.
-
-    The same regressors, pointed at a 0/1 target: BDT leaf means and
-    KNN neighbour means are empirical failure rates. FLDA is dropped —
-    quantile-binning a two-valued target degenerates.
-    """
-    return {
-        "BDT": lambda: DecisionTreeRegressor(min_samples_leaf=5),
-        "KNN": lambda: KNNRegressor(k=15, use_categorical=False, weighting="uniform"),
-    }
 
 
 def run_prediction(

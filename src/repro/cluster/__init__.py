@@ -3,13 +3,12 @@
 :mod:`repro.cluster.specs` encodes Table 1 verbatim; the rest of the
 subpackage turns those specs into simulatable objects: nodes with
 manufacturing variability, a RAPL measurement model with one-minute
-averaged sampling, and a LINPACK reference workload.
+averaged sampling, and GPU board power.
 """
 
 from repro.cluster.gpu import GPU_IDLE_FRACTION, GPU_NOISE_SIGMA, GpuPowerModel
-from repro.cluster.linpack import linpack_power_draw
 from repro.cluster.node import Node, build_nodes
-from repro.cluster.rapl import RaplModel, RaplSample
+from repro.cluster.rapl import RaplModel
 from repro.cluster.specs import (
     ALEX,
     EMMY,
@@ -37,8 +36,6 @@ __all__ = [
     "Cluster",
     "VariabilityModel",
     "RaplModel",
-    "RaplSample",
-    "linpack_power_draw",
     "GpuPowerModel",
     "GPU_IDLE_FRACTION",
     "GPU_NOISE_SIGMA",

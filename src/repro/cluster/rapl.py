@@ -23,21 +23,7 @@ from repro.cluster.specs import SystemSpec
 from repro.errors import TelemetryError
 from repro.units import MINUTE
 
-__all__ = ["RaplSample", "RaplModel", "average_to_minutes"]
-
-
-@dataclass(frozen=True)
-class RaplSample:
-    """One per-node, per-minute averaged measurement."""
-
-    node_id: int
-    minute: int
-    pkg_watts: float
-    dram_watts: float
-
-    @property
-    def total_watts(self) -> float:
-        return self.pkg_watts + self.dram_watts
+__all__ = ["RaplModel", "average_to_minutes"]
 
 
 def average_to_minutes(signal: np.ndarray, seconds_per_step: float = 1.0) -> np.ndarray:

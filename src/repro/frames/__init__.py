@@ -7,11 +7,11 @@ The API is deliberately narrow — exactly what the paper's analyses need —
 and every operation is vectorized.
 """
 
-from repro.frames.column import as_column, is_string_dtype
+from repro.frames.column import as_column
 from repro.frames.groupby import GroupBy
 from repro.frames.io import iter_npz, read_csv, read_npz, write_csv, write_npz
 from repro.frames.join import join
-from repro.frames.ops import quantile_table, rank_dense, value_counts
+from repro.frames.ops import quantile_table
 from repro.frames.table import Table, concat, concat_columns
 
 __all__ = [
@@ -21,13 +21,10 @@ __all__ = [
     "concat_columns",
     "join",
     "as_column",
-    "is_string_dtype",
     "read_csv",
     "write_csv",
     "read_npz",
     "iter_npz",
     "write_npz",
-    "value_counts",
-    "rank_dense",
     "quantile_table",
 ]

@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.errors import ColumnMismatchError
 
-__all__ = ["as_column", "is_string_dtype", "is_numeric_dtype", "common_length"]
+__all__ = ["as_column", "is_numeric_dtype", "common_length"]
 
 
 def as_column(values, name: str = "<column>") -> np.ndarray:
@@ -37,11 +37,6 @@ def as_column(values, name: str = "<column>") -> np.ndarray:
                 "string columns are supported"
             )
     return arr
-
-
-def is_string_dtype(arr: np.ndarray) -> bool:
-    """True when ``arr`` holds unicode strings."""
-    return arr.dtype.kind in ("U", "S")
 
 
 def is_numeric_dtype(arr: np.ndarray) -> bool:

@@ -7,22 +7,7 @@ import numpy as np
 from repro.errors import FrameError
 from repro.frames.table import Table
 
-__all__ = ["value_counts", "rank_dense", "quantile_table", "cut"]
-
-
-def value_counts(table: Table, column: str, descending: bool = True) -> Table:
-    """Distinct values of ``column`` with their row counts."""
-    values, counts = np.unique(table[column], return_counts=True)
-    order = np.argsort(counts, kind="stable")
-    if descending:
-        order = order[::-1]
-    return Table({column: values[order], "count": counts[order].astype(np.int64)})
-
-
-def rank_dense(values) -> np.ndarray:
-    """Dense integer ranks (0-based) of ``values``; ties share a rank."""
-    _, inverse = np.unique(np.asarray(values), return_inverse=True)
-    return inverse.astype(np.int64)
+__all__ = ["quantile_table", "cut"]
 
 
 def quantile_table(table: Table, column: str, qs=(0.0, 0.25, 0.5, 0.75, 1.0)) -> Table:

@@ -45,6 +45,8 @@ from repro.ml.tracks import (
     GPU_POWER_TRACK,
     POWER_TRACK,
     Track,
+    default_models,
+    failure_models,
     get_track,
     known_tracks,
 )
@@ -76,6 +78,8 @@ __all__ = [
     "FAILURE_TRACK",
     "known_tracks",
     "get_track",
+    "default_models",
+    "failure_models",
     "PredictionResult",
     "FittedPredictor",
     "fit_predictor",

@@ -13,7 +13,10 @@ heterogeneous systems (docs/SCENARIOS.md) add two more tracks:
 A :class:`Track` bundles the target column, the feature spec, the row
 filter, and the per-prediction error metric, so offline evaluation
 (:mod:`repro.analysis.prediction`), the serving registry, and the CLI
-agree on each track's definition by construction.
+agree on each track's definition by construction. The model factories
+(:func:`default_models`, :func:`failure_models`) live here too, so a
+process that trains a served model imports neither
+:mod:`repro.analysis` nor scipy.
 """
 
 from __future__ import annotations
@@ -26,8 +29,11 @@ import numpy as np
 from repro.errors import ValidationError
 from repro.frames import Table
 from repro.ml.encoding import FeatureSpec
+from repro.ml.flda import FLDARegressor
+from repro.ml.knn import KNNRegressor
 from repro.ml.metrics import absolute_percentage_error, brier_error
 from repro.ml.pipeline import TARGET_COLUMN
+from repro.ml.tree import DecisionTreeRegressor
 
 __all__ = [
     "Track",
@@ -36,6 +42,8 @@ __all__ = [
     "FAILURE_TRACK",
     "known_tracks",
     "get_track",
+    "default_models",
+    "failure_models",
 ]
 
 
@@ -126,3 +134,33 @@ def get_track(name: str) -> Track:
         raise ValidationError(
             f"unknown track {name!r}; known: {known_tracks()}"
         ) from None
+
+
+def default_models() -> dict[str, Callable[[], object]]:
+    """The paper's three models (Fig 14), best-performing first.
+
+    * **BDT** — CART with the user as a native categorical feature;
+      shallow leaves resolve down to job classes.
+    * **KNN** — k=5 with every feature treated numerically (user id
+      included), so nearby (nodes, walltime) jobs of *other* users bleed
+      in — exactly the failure mode the paper diagnoses for KNN.
+    * **FLDA** — 10 power classes, linear boundaries.
+    """
+    return {
+        "BDT": lambda: DecisionTreeRegressor(min_samples_leaf=3),
+        "KNN": lambda: KNNRegressor(k=5, use_categorical=False, weighting="uniform"),
+        "FLDA": lambda: FLDARegressor(n_bins=10),
+    }
+
+
+def failure_models() -> dict[str, Callable[[], object]]:
+    """Probability models for the failure track.
+
+    The same regressors, pointed at a 0/1 target: BDT leaf means and
+    KNN neighbour means are empirical failure rates. FLDA is dropped —
+    quantile-binning a two-valued target degenerates.
+    """
+    return {
+        "BDT": lambda: DecisionTreeRegressor(min_samples_leaf=5),
+        "KNN": lambda: KNNRegressor(k=15, use_categorical=False, weighting="uniform"),
+    }

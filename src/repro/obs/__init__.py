@@ -26,7 +26,6 @@ from repro.obs.logs import (
     JsonLogger,
     configure_logging,
     get_logger,
-    new_request_id,
     run_id,
 )
 from repro.obs.metrics import (
@@ -73,5 +72,4 @@ __all__ = [
     "get_logger",
     "configure_logging",
     "run_id",
-    "new_request_id",
 ]

@@ -33,7 +33,6 @@ __all__ = [
     "get_logger",
     "configure_logging",
     "run_id",
-    "new_request_id",
 ]
 
 RUN_ID_ENV_VAR = "REPRO_RUN_ID"
@@ -57,11 +56,6 @@ def run_id() -> str:
             if _RUN_ID is None:
                 _RUN_ID = os.environ.get(RUN_ID_ENV_VAR) or uuid.uuid4().hex[:12]
     return _RUN_ID
-
-
-def new_request_id() -> str:
-    """A fresh short id for correlating one request across log lines."""
-    return uuid.uuid4().hex[:12]
 
 
 def _threshold() -> int:

@@ -39,13 +39,15 @@ from repro.telemetry.samples_schema import (
 )
 from repro.telemetry.schema import load_jobs_npz, save_jobs_npz
 
-__all__ = ["DATASET_META_NAME", "save_dataset", "load_dataset", "load_jobs"]
+__all__ = [
+    "DATASET_META_NAME", "JOBS_NAME", "SAMPLES_NAME", "TIMELINE_NAME",
+    "save_dataset", "write_dataset_meta", "load_dataset", "load_jobs",
+]
 
 DATASET_META_NAME = "dataset.json"
-
-_JOBS_NAME = "jobs.npz"
-_SAMPLES_NAME = "samples.npz"
-_TIMELINE_NAME = "timeline.npz"
+JOBS_NAME = "jobs.npz"
+SAMPLES_NAME = "samples.npz"
+TIMELINE_NAME = "timeline.npz"
 
 
 def save_dataset(dataset: JobDataset, out_dir: str | os.PathLike) -> dict:
@@ -55,11 +57,11 @@ def save_dataset(dataset: JobDataset, out_dir: str | os.PathLike) -> dict:
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    save_jobs_npz(dataset.jobs, out_dir / _JOBS_NAME)
+    save_jobs_npz(dataset.jobs, out_dir / JOBS_NAME)
     if dataset.traces:
         save_samples(
             sample_columns(dataset.traces, dataset.trace_allocations),
-            out_dir / _SAMPLES_NAME,
+            out_dir / SAMPLES_NAME,
         )
     write_npz(
         Table(
@@ -68,21 +70,32 @@ def save_dataset(dataset: JobDataset, out_dir: str | os.PathLike) -> dict:
                 "job_power_watts": dataset.job_power_watts,
             }
         ),
-        out_dir / _TIMELINE_NAME,
+        out_dir / TIMELINE_NAME,
     )
-    spec_fields = {
-        f: getattr(dataset.spec, f) for f in dataset.spec.__dataclass_fields__
-    }
+    return write_dataset_meta(
+        out_dir, dataset.spec, dataset.horizon_s, dataset.num_jobs,
+        dataset.num_minutes, list(dataset.traces),
+    )
+
+
+def write_dataset_meta(
+    out_dir: Path, spec: SystemSpec, horizon_s: int, n_jobs: int, n_minutes: int,
+    trace_order: list[int],
+) -> dict:
+    """Write an artifact's ``dataset.json`` and return its dict.
+
+    ``trace_order`` lists the instrumented jobs' ids in assembly (start)
+    order: traces are keyed by job id, and a reloaded dataset iterates
+    them in that order, as the built one did.
+    """
     meta = {
-        "system": dataset.spec.name,
-        "horizon_s": int(dataset.horizon_s),
-        "n_jobs": dataset.num_jobs,
-        "n_traces": len(dataset.traces),
-        "n_minutes": dataset.num_minutes,
-        "spec": spec_fields,
-        # Traces are keyed by job id; preserve the assembly (start-order)
-        # iteration order so a reloaded dataset is indistinguishable.
-        "trace_order": [int(k) for k in dataset.traces],
+        "system": spec.name,
+        "horizon_s": int(horizon_s),
+        "n_jobs": n_jobs,
+        "n_traces": len(trace_order),
+        "n_minutes": n_minutes,
+        "spec": {f: getattr(spec, f) for f in spec.__dataclass_fields__},
+        "trace_order": [int(k) for k in trace_order],
     }
     (out_dir / DATASET_META_NAME).write_text(json.dumps(meta, indent=2, sort_keys=True))
     return meta
@@ -98,7 +111,7 @@ def load_jobs(artifact_dir: str | os.PathLike) -> Table:
     artifact_dir = Path(artifact_dir)
     if not (artifact_dir / DATASET_META_NAME).is_file():
         raise CacheError(f"{artifact_dir} is not a dataset artifact (no dataset.json)")
-    return load_jobs_npz(artifact_dir / _JOBS_NAME)
+    return load_jobs_npz(artifact_dir / JOBS_NAME)
 
 
 def load_dataset(artifact_dir: str | os.PathLike) -> JobDataset:
@@ -110,11 +123,11 @@ def load_dataset(artifact_dir: str | os.PathLike) -> JobDataset:
     spec_fields["inflow_temperature_c"] = tuple(spec_fields["inflow_temperature_c"])
     spec = SystemSpec(**spec_fields)
 
-    timeline = read_npz(artifact_dir / _TIMELINE_NAME)
+    timeline = read_npz(artifact_dir / TIMELINE_NAME)
 
     traces: dict[int, np.ndarray] = {}
     allocations: dict[int, np.ndarray] = {}
-    samples_path = artifact_dir / _SAMPLES_NAME
+    samples_path = artifact_dir / SAMPLES_NAME
     if samples_path.is_file():
         rebuilt, allocations = traces_from_samples(load_samples(samples_path), jobs)
         traces = {jid: rebuilt[jid] for jid in meta["trace_order"]}

@@ -25,14 +25,16 @@ chunk's job table at once (docs/PIPELINE.md):
 3. **Compact** — the shards are merged into the final ``dataset`` stage
    entry. Job tables concatenate, and sample tables concatenate column
    by column (:func:`~repro.frames.concat_columns` over lazy
-   :func:`~repro.frames.iter_npz` readers); the float power
-   timeline is *replayed* per job in global start order (float addition
-   is not associative — summing per-chunk partial timelines would change
-   the bytes), and the integer occupancy timeline is rebuilt exactly
-   from bounds + cumsum. The three output files are independent, so
-   ``compact_workers > 1`` fans them out over a process pool (the same
-   machinery :func:`repro.pipeline.runner.run_pipeline` uses for
-   shards).
+   :func:`~repro.frames.iter_npz` readers). The timelines come from
+   the in-memory join's own sweep
+   (:func:`~repro.telemetry.dataset.sweep_timelines`), fed one chunk at
+   a time in global start order (float addition is not associative —
+   summing per-chunk partial timelines would change the bytes), and
+   ``dataset.json`` from its own writer
+   (:func:`~repro.pipeline.artifacts.write_dataset_meta`). The three
+   data files are independent, so ``compact_workers > 1`` fans them out
+   over a process pool (the same machinery
+   :func:`repro.pipeline.runner.run_pipeline` uses for shards).
 
 Byte-identity with the monolithic writer is enforced by
 ``tests/pipeline/test_stream.py`` (hypothesis, across seeds and chunk
@@ -41,7 +43,6 @@ sizes) and by ``tools/smoke.py stream`` in CI.
 
 from __future__ import annotations
 
-import json
 import pickle
 import shutil
 import time
@@ -52,12 +53,12 @@ from typing import Any
 
 import numpy as np
 
-from repro.errors import PipelineError, TelemetryError
+from repro.errors import PipelineError
 from repro.frames import Table, concat, concat_columns, iter_npz, read_npz, write_npz
 from repro.obs.logs import get_logger
 from repro.obs.metrics import REGISTRY, peak_rss_bytes
 from repro.obs.tracing import trace_span
-from repro.pipeline.artifacts import DATASET_META_NAME
+from repro.pipeline.artifacts import JOBS_NAME, SAMPLES_NAME, TIMELINE_NAME, write_dataset_meta
 from repro.pipeline.cache import ArtifactCache, stage_timing
 from repro.pipeline.config import (
     CHUNK_STAGE,
@@ -71,7 +72,7 @@ from repro.pipeline.config import (
     stage_key,
 )
 from repro.scheduler.simulator import SchedulerConfig, Simulator
-from repro.telemetry.dataset import build_inputs, join_jobs
+from repro.telemetry.dataset import build_inputs, join_jobs, sweep_timelines
 from repro.telemetry.samples_schema import sample_columns
 from repro.telemetry.schema import job_columns, save_jobs_npz
 from repro.telemetry.stream import TelemetryStream
@@ -97,11 +98,8 @@ _PEAK_RSS = REGISTRY.gauge(
     "Peak resident set size of this process (bytes).",
 )
 
-_JOBS_NAME = "jobs.npz"
 _POWER_NAME = "power.npz"
-_SAMPLES_NAME = "samples.npz"
 _STATE_NAME = "state.pkl"
-_TIMELINE_NAME = "timeline.npz"
 
 
 @dataclass(frozen=True)
@@ -298,7 +296,7 @@ def _stream_shard(
             def build(tmp_dir: Path) -> dict:
                 # Spill shards are transient: skip deflate (compress only
                 # the final artifact, whose bytes are the contract).
-                write_npz(jobs, tmp_dir / _JOBS_NAME, compress=False)
+                write_npz(jobs, tmp_dir / JOBS_NAME, compress=False)
                 write_npz(
                     Table({"power_sum": sample.power_sum}),
                     tmp_dir / _POWER_NAME, compress=False,
@@ -307,7 +305,7 @@ def _stream_shard(
                     # Chunks in order concatenate to the monolithic table.
                     write_npz(
                         sample_columns(sample.traces, sample.trace_allocations),
-                        tmp_dir / _SAMPLES_NAME, compress=False,
+                        tmp_dir / SAMPLES_NAME, compress=False,
                     )
                 if checkpoint is not None:
                     with (tmp_dir / _STATE_NAME).open("wb") as fh:
@@ -361,21 +359,9 @@ def _stream_shard(
                 shard_dirs, tmp_dir, n_minutes=n_minutes,
                 num_nodes=cluster.num_nodes, workers=compact_workers,
             )
-            spec_fields = {
-                f: getattr(cluster.spec, f)
-                for f in cluster.spec.__dataclass_fields__
-            }
-            meta = {
-                "system": cluster.spec.name,
-                "horizon_s": int(params.horizon_s),
-                "n_jobs": n_jobs,
-                "n_traces": n_traces,
-                "n_minutes": n_minutes,
-                "spec": spec_fields,
-                "trace_order": trace_order,
-            }
-            (tmp_dir / DATASET_META_NAME).write_text(
-                json.dumps(meta, indent=2, sort_keys=True)
+            write_dataset_meta(
+                tmp_dir, cluster.spec, params.horizon_s, n_jobs, n_minutes,
+                trace_order,
             )
             return {"n_jobs": n_jobs, "n_traces": n_traces,
                     "n_minutes": n_minutes, **stage_timing(t0)}
@@ -425,7 +411,7 @@ def _compact_jobs(payload: tuple[list[str], str]) -> None:
     width, which equals the global width the monolithic writer computes.
     """
     shard_dirs, out_path = payload
-    tables = [read_npz(Path(d) / _JOBS_NAME) for d in shard_dirs]
+    tables = [read_npz(Path(d) / JOBS_NAME) for d in shard_dirs]
     jobs = concat([t for t in tables if len(t)])
     save_jobs_npz(jobs.select(job_columns(jobs)), out_path)
 
@@ -435,39 +421,25 @@ def _compact_samples(payload: tuple[list[str], str]) -> None:
     reading, merging and writing one column at a time."""
     shard_dirs, out_path = payload
     paths = [
-        p for p in (Path(d) / _SAMPLES_NAME for d in shard_dirs) if p.is_file()
+        p for p in (Path(d) / SAMPLES_NAME for d in shard_dirs) if p.is_file()
     ]
     if paths:
         write_npz(concat_columns([iter_npz(p) for p in paths]), out_path)
 
 
 def _compact_timeline(payload: tuple[list[str], str, int, int]) -> None:
-    """Rebuild the per-minute timelines exactly as the monolithic join.
-
-    ``active_nodes`` is integer and order-free (bounds + cumsum);
-    ``job_power_watts`` replays the per-job ``+=`` loop in global start
-    order, because float accumulation order is part of the bytes.
-    """
+    """Rebuild the per-minute timelines exactly as the in-memory join:
+    one :func:`~repro.telemetry.dataset.sweep_timelines` over the chunks,
+    read one at a time in chunk (global start) order."""
     shard_dirs, out_path, n_minutes, num_nodes = payload
-    bounds = np.zeros(n_minutes + 1, dtype=np.int64)
-    job_power = np.zeros(n_minutes, dtype=float)
-    for d in shard_dirs:
-        jobs = read_npz(Path(d) / _JOBS_NAME)
-        if not len(jobs):
-            continue
-        power_sum = read_npz(Path(d) / _POWER_NAME)["power_sum"]
-        a_min = jobs["start_s"] // MINUTE
-        b_min = np.maximum(a_min + 1, jobs["end_s"] // MINUTE)
-        nodes = jobs["nodes"]
-        np.add.at(bounds, a_min, nodes)
-        np.subtract.at(bounds, b_min, nodes)
-        # tolist() up front: indexing numpy scalars one-by-one in a
-        # million-iteration loop costs more than the slice adds do.
-        for a, b, w in zip(a_min.tolist(), b_min.tolist(), power_sum.tolist()):
-            job_power[a:b] += w
-    active = np.cumsum(bounds[:-1])
-    if np.any(active > num_nodes):
-        raise TelemetryError("scheduler over-allocated nodes (timeline check)")
+
+    def chunks():
+        for d in shard_dirs:
+            jobs = read_npz(Path(d) / JOBS_NAME)
+            if len(jobs):
+                yield jobs, read_npz(Path(d) / _POWER_NAME)["power_sum"]
+
+    active, job_power = sweep_timelines(chunks(), n_minutes, num_nodes)
     write_npz(
         Table({"active_nodes": active, "job_power_watts": job_power}), out_path
     )
@@ -495,9 +467,9 @@ def _compact_shards(
     bytes (each file is written by exactly one deterministic task).
     """
     tasks: list[tuple[str, Any]] = [
-        ("jobs", (shard_dirs, str(out_dir / _JOBS_NAME))),
-        ("samples", (shard_dirs, str(out_dir / _SAMPLES_NAME))),
-        ("timeline", (shard_dirs, str(out_dir / _TIMELINE_NAME), n_minutes, num_nodes)),
+        ("jobs", (shard_dirs, str(out_dir / JOBS_NAME))),
+        ("samples", (shard_dirs, str(out_dir / SAMPLES_NAME))),
+        ("timeline", (shard_dirs, str(out_dir / TIMELINE_NAME), n_minutes, num_nodes)),
     ]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:

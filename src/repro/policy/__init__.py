@@ -7,21 +7,19 @@ Section 6 argues that the characterization enables concrete mechanisms:
 * **hardware over-provisioning** under a system-wide power budget
   (:mod:`~repro.policy.overprovision`) — profitable because of stranded
   power, and
-* **power-aware pricing** (:mod:`~repro.policy.pricing`) — needed because
-  node-hours under-charge long/large (higher-power) jobs.
+* **power-aware scheduling** (:mod:`~repro.policy.powersched`) — admit a
+  job only while the predicted system power stays under the budget.
 
 These back the ablation benches (A1/A2 in DESIGN.md).
 """
 
 from repro.policy.capping import CappingOutcome, StaticCapPolicy, evaluate_capping
-from repro.policy.energy import EnergyAccount, account_energy, user_bills
 from repro.policy.overprovision import OverprovisionOutcome, evaluate_overprovisioning
 from repro.policy.powersched import (
     PowerAwareSimulator,
     PowerSchedulingOutcome,
     evaluate_power_capped_scheduling,
 )
-from repro.policy.pricing import PricingComparison, compare_pricing
 
 __all__ = [
     "StaticCapPolicy",
@@ -29,12 +27,7 @@ __all__ = [
     "evaluate_capping",
     "OverprovisionOutcome",
     "evaluate_overprovisioning",
-    "PricingComparison",
-    "compare_pricing",
     "PowerAwareSimulator",
     "PowerSchedulingOutcome",
     "evaluate_power_capped_scheduling",
-    "EnergyAccount",
-    "account_energy",
-    "user_bills",
 ]

@@ -14,11 +14,9 @@ Carlo codes (one ``SeedSequence`` child per rank).
 
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
 
-__all__ = ["RngFactory", "spawn_rngs"]
+__all__ = ["RngFactory"]
 
 
 class RngFactory:
@@ -67,11 +65,3 @@ class RngFactory:
         rng = self.get(name)
         return RngFactory(int(rng.integers(0, 2**31 - 1)))
 
-
-def spawn_rngs(seed: int, n: int) -> Iterator[np.random.Generator]:
-    """Yield ``n`` independent generators from one root seed."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    root = np.random.SeedSequence(seed)
-    for child in root.spawn(n):
-        yield np.random.default_rng(child)

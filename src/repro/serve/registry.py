@@ -542,8 +542,9 @@ class ModelRegistry:
             if model == "online":
                 servable = _fit_online(jobs)
             elif model in ("GPU", "FAIL"):
-                from repro.analysis.prediction import default_models, failure_models
-                from repro.ml import FAILURE_TRACK, GPU_POWER_TRACK, fit_predictor
+                from repro.ml import (
+                    FAILURE_TRACK, GPU_POWER_TRACK, default_models, failure_models, fit_predictor,
+                )
 
                 # Track BDTs: same estimator family, the track's target
                 # and features. track.select raises a clear error when
@@ -562,8 +563,7 @@ class ModelRegistry:
                     target_column=track.target_column,
                 )
             else:
-                from repro.analysis.prediction import default_models
-                from repro.ml import fit_predictor
+                from repro.ml import default_models, fit_predictor
 
                 servable = fit_predictor(
                     jobs, default_models()[model], model_name=model

@@ -1,9 +1,9 @@
 """Statistics toolkit used by every analysis in the paper.
 
 The kernels here (ECDF/PDF construction, Spearman rank correlation with
-p-value, Lorenz-style concentration curves, bootstrap confidence
-intervals) are implemented from scratch on NumPy and, where scipy offers
-a reference implementation, cross-checked against it in the test suite.
+p-value, Lorenz-style concentration curves) are implemented from scratch
+on NumPy and, where scipy offers a reference implementation,
+cross-checked against it in the test suite.
 
 Every name resolves lazily (PEP 562): ``from repro.stats.distributions
 import ECDF`` loads that module alone, and only
@@ -15,7 +15,6 @@ from repro import _lazy
 
 __all__ = [
     "ECDF",
-    "cdf_at",
     "fraction_below",
     "quantile",
     "pearson",
@@ -23,20 +22,13 @@ __all__ = [
     "lorenz_curve",
     "top_share",
     "overlap_fraction",
-    "bootstrap_ci",
-    "describe",
-    "weighted_mean",
-    "coefficient_of_variation",
     "histogram_pdf",
     "freedman_diaconis_bins",
-    "KsResult",
-    "ks_two_sample",
 ]
 
 # Lazy attribute map (PEP 562): name -> defining module.
 _LAZY_ATTRS = {
     "ECDF": "repro.stats.distributions",
-    "cdf_at": "repro.stats.distributions",
     "fraction_below": "repro.stats.distributions",
     "quantile": "repro.stats.distributions",
     "pearson": "repro.stats.correlation",
@@ -44,14 +36,8 @@ _LAZY_ATTRS = {
     "lorenz_curve": "repro.stats.concentration",
     "top_share": "repro.stats.concentration",
     "overlap_fraction": "repro.stats.concentration",
-    "bootstrap_ci": "repro.stats.bootstrap",
-    "describe": "repro.stats.descriptive",
-    "weighted_mean": "repro.stats.descriptive",
-    "coefficient_of_variation": "repro.stats.descriptive",
     "histogram_pdf": "repro.stats.binning",
     "freedman_diaconis_bins": "repro.stats.binning",
-    "KsResult": "repro.stats.kstest",
-    "ks_two_sample": "repro.stats.kstest",
 }
 
 __getattr__, __dir__ = _lazy.exports(__name__, _LAZY_ATTRS)

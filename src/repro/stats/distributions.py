@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["ECDF", "cdf_at", "fraction_below", "quantile"]
+__all__ = ["ECDF", "fraction_below", "quantile"]
 
 
 class ECDF:
@@ -69,11 +69,6 @@ class ECDF:
         """(x, F(x)) pairs suitable for a step plot."""
         n = self._sorted.size
         return self._sorted.copy(), np.arange(1, n + 1) / n
-
-
-def cdf_at(sample, x) -> float:
-    """One-shot P[sample <= x]."""
-    return float(ECDF(sample)(x))
 
 
 def fraction_below(sample, threshold: float) -> float:

@@ -23,7 +23,6 @@ from repro.telemetry.schema import (
     load_jobs_csv,
     save_jobs_csv,
 )
-from repro.telemetry.swf import jobspecs_from_swf, load_swf, save_swf
 from repro.telemetry.trace import JobPowerTrace
 
 __all__ = [
@@ -41,7 +40,4 @@ __all__ = [
     "traces_from_samples",
     "save_jobs_csv",
     "load_jobs_csv",
-    "save_swf",
-    "load_swf",
-    "jobspecs_from_swf",
 ]

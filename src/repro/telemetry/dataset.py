@@ -26,6 +26,7 @@ caches independently (see docs/PIPELINE.md):
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Iterable
 
 import numpy as np
 
@@ -34,13 +35,10 @@ from repro.cluster.system import Cluster
 from repro.cluster.variability import VariabilityModel
 from repro.errors import TelemetryError
 from repro.frames import Table
-from repro.rng import RngFactory
 from repro.scheduler import accounting_table, simulate
 from repro.scheduler.job import ScheduledJob
-from repro.telemetry.sampler import GpuSampler, PowerSampler
 from repro.telemetry.trace import JobPowerTrace
 from repro.units import MINUTE
-from repro.workload.applications import KEY_APPS
 from repro.workload.generator import (
     WorkloadGenerator,
     WorkloadParams,
@@ -54,6 +52,7 @@ __all__ = [
     "sample_telemetry",
     "join_jobs",
     "join_dataset",
+    "sweep_timelines",
     "assemble",
     "generate_dataset",
 ]
@@ -259,80 +258,17 @@ def sample_telemetry(
     for an instrumented subset of key-app, multi-node, non-trivial-length
     jobs inside a one-month window (the paper's time-resolved logging
     period). Deterministic for a fixed ``(cluster, scheduled, seed)``.
+
+    One :meth:`~repro.telemetry.stream.TelemetryStream.sample_chunk` call
+    over the whole schedule: the streaming pipeline samples the same
+    stream one chunk at a time.
     """
+    from repro.telemetry.stream import TelemetryStream
+
     if not scheduled:
         raise TelemetryError("no scheduled jobs to sample")
-    rngs = RngFactory(seed).child(f"telemetry.{cluster.name}")
-    sampler = PowerSampler(cluster, rngs.get("aggregate"))
-    trace_sampler = PowerSampler(cluster, rngs.get("traces"))
-    # GPU boards are measured from their own stream, so the CPU streams
-    # above replay the exact draws of a CPU-only build.
-    gpu_sampler = (
-        GpuSampler(cluster, rngs.get("gpu")) if cluster.spec.has_gpus else None
-    )
-
-    # Aggregates for every job come from the fused batch sweep — one RNG
-    # draw and one clip pass over all node slots, bit-identical to the
-    # per-job sample_aggregate loop it replaced.
-    pernode_power, power_sum = sampler.sample_aggregate_batch(scheduled)
-    # Tolerance for dropped samples (the telemetry.drop fault point, or a
-    # real monitoring outage): gap-fill each NaN aggregate with the job's
-    # deterministic noise-free level and account for it explicitly — the
-    # gap count travels through the stage meta into the run manifest.
-    gap_idx = np.nonzero(np.isnan(pernode_power))[0]
-    for i in gap_idx:
-        pernode_power[i], power_sum[i] = sampler.nominal_aggregate(scheduled[i])
-    runtimes = np.fromiter(
-        (job.spec.runtime_s for job in scheduled), dtype=float, count=len(scheduled)
-    )
-    energy = power_sum * runtimes
-    instrumented = np.zeros(len(scheduled), dtype=bool)
-    is_debug = np.fromiter(
-        (job.spec.is_debug for job in scheduled), dtype=bool, count=len(scheduled)
-    )
-
-    window_lo = 0.30 * horizon_s
-    window_hi = min(horizon_s, window_lo + horizon_s / 5.0)
-    traces: dict[int, JobPowerTrace] = {}
-    trace_allocations: dict[int, np.ndarray] = {}
-
-    key_apps = set(KEY_APPS)
-    for i, job in enumerate(scheduled):
-        spec = job.spec
-        if (
-            len(traces) < max_traces
-            and spec.app in key_apps
-            and spec.nodes >= 2
-            and spec.runtime_s >= 20 * MINUTE
-            and window_lo <= job.start_s < window_hi
-        ):
-            matrix = trace_sampler.sample_matrix(job)
-            traces[spec.job_id] = JobPowerTrace(
-                job_id=spec.job_id,
-                user_id=spec.user_id,
-                app=spec.app,
-                system=spec.system,
-                matrix=matrix,
-            )
-            trace_allocations[spec.job_id] = job.node_ids.copy()
-            instrumented[i] = True
-
-    gpu_power = gpu_count = None
-    if gpu_sampler is not None:
-        gpu_power, gpu_count = gpu_sampler.sample_batch(scheduled)
-
-    return TelemetrySample(
-        pernode_power=pernode_power,
-        power_sum=power_sum,
-        energy=energy,
-        instrumented=instrumented,
-        is_debug=is_debug,
-        traces=traces,
-        trace_allocations=trace_allocations,
-        n_gaps=int(len(gap_idx)),
-        gpu_power=gpu_power,
-        gpu_count=gpu_count,
-    )
+    stream = TelemetryStream(cluster, horizon_s, seed=seed, max_traces=max_traces)
+    return stream.sample_chunk(scheduled)
 
 
 def join_jobs(scheduled: list[ScheduledJob], sample: TelemetrySample) -> Table:
@@ -398,10 +334,11 @@ def join_dataset(
 ) -> JobDataset:
     """Join accounting records with sampled power into a :class:`JobDataset`.
 
-    The **dataset** pipeline stage: builds the per-minute system
-    timelines from the schedule and the sampled per-job draw, then joins
-    the batch system's accounting table with the power aggregates.
-    Purely deterministic — all randomness lives in the earlier stages.
+    The **dataset** pipeline stage: joins the batch system's accounting
+    table with the power aggregates (:func:`join_jobs`), then builds the
+    per-minute system timelines from the joined table
+    (:func:`sweep_timelines`). Purely deterministic — all randomness
+    lives in the earlier stages.
     """
     if not scheduled:
         raise TelemetryError("no scheduled jobs to join")
@@ -409,33 +346,13 @@ def join_dataset(
         raise TelemetryError(
             f"telemetry covers {sample.num_jobs} jobs, schedule has {len(scheduled)}"
         )
-    end_minute = max(j.end_s for j in scheduled) // MINUTE + 1
-    n_minutes = max(end_minute, int(np.ceil(horizon_s / MINUTE)))
-    m = len(scheduled)
-    a_min = np.fromiter((j.start_s // MINUTE for j in scheduled), np.int64, count=m)
-    b_min = np.maximum(
-        a_min + 1,
-        np.fromiter((j.end_s // MINUTE for j in scheduled), np.int64, count=m),
-    )
-    nodes_per_job = np.fromiter((j.spec.nodes for j in scheduled), np.int64, count=m)
-    # Integer occupancy via a boundary/prefix-sum sweep (exact in any
-    # order); the float power timeline keeps the per-job slice adds so
-    # its accumulation order — and hence its bytes — are unchanged.
-    bounds = np.zeros(n_minutes + 1, dtype=np.int64)
-    np.add.at(bounds, a_min, nodes_per_job)
-    np.subtract.at(bounds, b_min, nodes_per_job)
-    active = np.cumsum(bounds[:-1])
-    job_power = np.zeros(n_minutes, dtype=float)
-    # tolist() up front: per-element numpy scalar indexing dominates the
-    # slice adds themselves at million-job scale.
-    for a, b, w in zip(a_min.tolist(), b_min.tolist(), sample.power_sum.tolist()):
-        job_power[a:b] += w
-
-    if np.any(active > cluster.num_nodes):
-        raise TelemetryError("scheduler over-allocated nodes (timeline check)")
-
     jobs = join_jobs(scheduled, sample)
-
+    n_minutes = max(
+        int(jobs["end_s"].max()) // MINUTE + 1, int(np.ceil(horizon_s / MINUTE))
+    )
+    active, job_power = sweep_timelines(
+        [(jobs, sample.power_sum)], n_minutes, cluster.num_nodes
+    )
     return JobDataset(
         spec=cluster.spec,
         jobs=jobs,
@@ -445,6 +362,36 @@ def join_dataset(
         job_power_watts=job_power,
         trace_allocations=sample.trace_allocations,
     )
+
+
+def sweep_timelines(
+    parts: Iterable[tuple[Table, np.ndarray]], n_minutes: int, num_nodes: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-minute ``(active_nodes, job_power_watts)`` of a job stream.
+
+    ``parts`` yields ``(jobs, power_sum)`` pairs: a job table's
+    ``start_s``/``end_s``/``nodes`` with each job's summed node watts,
+    in global start order. Occupancy is integer and order-free (bounds
+    + cumsum); the power timeline adds each job's draw over its minutes
+    in that order, because float accumulation order is part of the
+    bytes. The streaming compactor yields one pair per chunk, reading
+    each chunk only when the sweep reaches it.
+    """
+    bounds = np.zeros(n_minutes + 1, dtype=np.int64)
+    job_power = np.zeros(n_minutes, dtype=float)
+    for jobs, power_sum in parts:
+        a_min = jobs["start_s"] // MINUTE
+        b_min = np.maximum(a_min + 1, jobs["end_s"] // MINUTE)
+        np.add.at(bounds, a_min, jobs["nodes"])
+        np.subtract.at(bounds, b_min, jobs["nodes"])
+        # tolist() up front: per-element numpy scalar indexing dominates
+        # the slice adds themselves at million-job scale.
+        for a, b, w in zip(a_min.tolist(), b_min.tolist(), power_sum.tolist()):
+            job_power[a:b] += w
+    active = np.cumsum(bounds[:-1])
+    if np.any(active > num_nodes):
+        raise TelemetryError("scheduler over-allocated nodes (timeline check)")
+    return active, job_power
 
 
 def assemble(

@@ -1,12 +1,15 @@
-"""Chunked telemetry sampling for the streaming pipeline.
+"""Telemetry sampling of a scheduled-job stream, one chunk at a time.
 
-:class:`TelemetryStream` is :func:`repro.telemetry.dataset.sample_telemetry`
-split along chunk boundaries: the two generator streams (aggregates and
-traces) are created once and *continued* across chunks, and the global
-trace-budget counter is carried over — so concatenating the per-chunk
-samples reproduces the monolithic sample bit for bit. (``standard_normal``
-generates element-wise from the PCG64 stream, so one draw of ``a + b``
-normals equals a draw of ``a`` followed by a draw of ``b``.)
+:class:`TelemetryStream` holds the package's one sampling loop.
+:func:`repro.telemetry.dataset.sample_telemetry` is one
+:meth:`~TelemetryStream.sample_chunk` call over the whole schedule; the
+streaming pipeline calls it once per chunk. The generator streams
+(aggregates, traces and, on GPU systems, boards) are created once and
+*continued* across chunks, and the global trace-budget counter is
+carried over — so concatenating the per-chunk samples reproduces the
+one-call sample bit for bit. (``standard_normal`` generates
+element-wise from the PCG64 stream, so one draw of ``a + b`` normals
+equals a draw of ``a`` followed by a draw of ``b``.)
 
 The stream's :meth:`state`/:meth:`restore_state` round-trips the raw
 ``bit_generator.state`` dicts, which is what lets an interrupted
@@ -44,8 +47,9 @@ class TelemetryStream:
         rngs = RngFactory(seed).child(f"telemetry.{cluster.name}")
         self._sampler = PowerSampler(cluster, rngs.get("aggregate"))
         self._trace_sampler = PowerSampler(cluster, rngs.get("traces"))
-        # The GPU stream mirrors sample_telemetry: its own child stream,
-        # created only on GPU systems, continued across chunks.
+        # GPU boards are measured from their own child stream, created
+        # only on GPU systems, so the CPU streams above replay the exact
+        # draws of a CPU-only build.
         self._gpu_sampler = (
             GpuSampler(cluster, rngs.get("gpu")) if cluster.spec.has_gpus else None
         )
@@ -67,12 +71,19 @@ class TelemetryStream:
     def sample_chunk(self, scheduled: list[ScheduledJob]) -> TelemetrySample:
         """Sample the next chunk of the job stream (may be empty).
 
-        Mirrors :func:`~repro.telemetry.dataset.sample_telemetry` exactly;
-        an empty chunk consumes no generator draws, matching the fused
-        batch path's behaviour on a zero-length slice.
+        RAPL aggregates for every job, and full node×minute matrices for
+        key-app, multi-node jobs of at least 20 minutes that start in the
+        trace window, until the trace budget is spent. An empty chunk
+        consumes no generator draws.
         """
         sampler = self._sampler
+        # Aggregates for every job come from the fused batch sweep: one
+        # RNG draw and one clip pass over all node slots.
         pernode_power, power_sum = sampler.sample_aggregate_batch(scheduled)
+        # Tolerance for dropped samples (the telemetry.drop fault point, or
+        # a real monitoring outage): gap-fill each NaN aggregate with the
+        # job's deterministic noise-free level and count it, so the gap
+        # count travels through the stage meta into the run manifest.
         gap_idx = np.nonzero(np.isnan(pernode_power))[0]
         for i in gap_idx:
             pernode_power[i], power_sum[i] = sampler.nominal_aggregate(scheduled[i])

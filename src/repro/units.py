@@ -8,19 +8,13 @@ where trace-analysis bugs usually hide.
 
 from __future__ import annotations
 
-import numpy as np
-
 __all__ = [
     "MINUTE",
     "HOUR",
     "DAY",
-    "watts_to_kilowatts",
-    "joules_to_kwh",
-    "node_seconds_to_node_hours",
     "seconds",
     "minutes",
     "hours",
-    "energy_joules",
 ]
 
 MINUTE: int = 60
@@ -42,24 +36,3 @@ def hours(x: float) -> float:
     """Convert hours to seconds."""
     return float(x) * HOUR
 
-
-def watts_to_kilowatts(w):
-    """Convert watts to kilowatts (scalar or array)."""
-    return np.asarray(w, dtype=float) / 1e3
-
-
-def joules_to_kwh(j):
-    """Convert joules to kilowatt-hours (scalar or array)."""
-    return np.asarray(j, dtype=float) / 3.6e6
-
-
-def node_seconds_to_node_hours(ns):
-    """Convert node-seconds to node-hours (scalar or array)."""
-    return np.asarray(ns, dtype=float) / HOUR
-
-
-def energy_joules(power_watts, duration_s: float):
-    """Energy in joules of a constant ``power_watts`` draw for ``duration_s``."""
-    if duration_s < 0:
-        raise ValueError("duration_s must be >= 0")
-    return np.asarray(power_watts, dtype=float) * float(duration_s)

@@ -193,7 +193,7 @@ def fig14(dataset: JobDataset, n_repeats: int = 3) -> str:
 
 
 def fig15(dataset: JobDataset, n_repeats: int = 3) -> str:
-    from repro.analysis.prediction import default_models
+    from repro.ml import default_models
 
     results = run_prediction(
         dataset, models={"BDT": default_models()["BDT"]}, n_repeats=n_repeats

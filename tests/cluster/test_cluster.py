@@ -13,9 +13,7 @@ from repro.cluster import (
     build_nodes,
     get_spec,
     known_systems,
-    linpack_power_draw,
 )
-from repro.cluster.linpack import LINPACK_TDP_FRACTION
 from repro.errors import ClusterError
 
 
@@ -147,20 +145,3 @@ class TestCluster:
         with pytest.raises(ClusterError):
             Cluster.from_name("emmy", num_nodes=0)
 
-
-class TestLinpack:
-    def test_draw_near_tdp(self, rng):
-        power = linpack_power_draw(EMMY, num_nodes=8, duration_minutes=30, rng=rng)
-        assert power.shape == (8, 30)
-        steady = power[:, 5:]
-        assert steady.mean() > 0.9 * EMMY.node_tdp_watts
-        assert power.max() <= EMMY.node_tdp_watts
-        assert LINPACK_TDP_FRACTION > 0.95
-
-    def test_warmup_lower(self, rng):
-        power = linpack_power_draw(EMMY, num_nodes=4, duration_minutes=10, rng=rng)
-        assert power[:, 0].mean() < power[:, 5].mean()
-
-    def test_invalid_args(self, rng):
-        with pytest.raises(ClusterError):
-            linpack_power_draw(EMMY, num_nodes=0, duration_minutes=5, rng=rng)

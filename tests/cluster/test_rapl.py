@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cluster import EMMY, RaplModel, RaplSample
+from repro.cluster import EMMY, RaplModel
 from repro.cluster.rapl import average_to_minutes
 from repro.errors import TelemetryError
 
@@ -66,7 +66,3 @@ class TestRaplModel:
     def test_invalid_noise(self):
         with pytest.raises(TelemetryError):
             RaplModel(EMMY, noise_sigma=-0.1)
-
-    def test_sample_total(self):
-        s = RaplSample(node_id=1, minute=0, pkg_watts=80.0, dram_watts=20.0)
-        assert s.total_watts == 100.0

@@ -8,10 +8,8 @@ from repro.frames import (
     Table,
     join,
     quantile_table,
-    rank_dense,
     read_csv,
     read_npz,
-    value_counts,
     write_csv,
     write_npz,
 )
@@ -113,15 +111,6 @@ class TestIO:
 
 
 class TestOps:
-    def test_value_counts(self):
-        t = Table({"app": ["a", "b", "a", "a"]})
-        vc = value_counts(t, "app")
-        assert vc["app"].tolist() == ["a", "b"]
-        assert vc["count"].tolist() == [3, 1]
-
-    def test_rank_dense(self):
-        assert rank_dense([30, 10, 30, 20]).tolist() == [2, 0, 2, 1]
-
     def test_quantile_table(self):
         t = Table({"x": [1.0, 2.0, 3.0, 4.0, 5.0]})
         q = quantile_table(t, "x", qs=(0.0, 0.5, 1.0))

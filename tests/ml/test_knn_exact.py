@@ -10,8 +10,7 @@ import numpy as np
 import pytest
 
 import repro.ml.knn as knn_mod
-from repro.analysis.prediction import default_models
-from repro.ml import KNNRegressor, fit_predictor
+from repro.ml import KNNRegressor, default_models, fit_predictor
 from repro.pipeline import build_dataset
 from repro.spec import ScenarioSpec
 

@@ -9,7 +9,7 @@ import threading
 import pytest
 
 from repro.errors import ObsError
-from repro.obs import configure_logging, get_logger, new_request_id, run_id
+from repro.obs import configure_logging, get_logger, run_id
 
 
 @pytest.fixture
@@ -56,7 +56,6 @@ def test_unknown_levels_raise(sink):
 
 def test_run_id_is_stable_and_request_ids_are_not():
     assert run_id() == run_id()
-    assert new_request_id() != new_request_id()
 
 
 def test_non_serializable_fields_fall_back_to_str(sink):

@@ -6,7 +6,6 @@ import pytest
 from repro.errors import PolicyError
 from repro.policy import (
     StaticCapPolicy,
-    compare_pricing,
     evaluate_capping,
     evaluate_overprovisioning,
 )
@@ -75,16 +74,13 @@ class TestOverprovisioning:
 
 
 class TestPricing:
-    def test_comparison(self, emmy_small):
-        p = compare_pricing(emmy_small)
-        assert p.n_jobs == emmy_small.num_jobs
-        # Shares are conserved: mean ratio weighted by node-hours is 1.
-        nh = emmy_small.jobs["node_hours"]
-        weighted = np.average(p.ratio, weights=nh / nh.sum())
-        assert weighted == pytest.approx(1.0)
-        assert p.max_mispricing > 0.0
-
     def test_mispricing_exists(self, emmy_small):
-        """Sec 6: node-hour pricing misprices a visible share of jobs."""
-        p = compare_pricing(emmy_small)
-        assert p.frac_undercharged_10pct + p.frac_overcharged_10pct > 0.05
+        """Sec 6: node-hour pricing misprices a visible share of jobs.
+
+        A job's energy share over its node-hour share is its per-node
+        power over the node-hour-weighted mean per-node power.
+        """
+        jobs = emmy_small.jobs
+        power = jobs["pernode_power_w"]
+        ratio = power / np.average(power, weights=jobs["node_hours"])
+        assert np.mean((ratio > 1.10) | (ratio < 0.90)) > 0.05

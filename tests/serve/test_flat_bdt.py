@@ -81,7 +81,7 @@ def test_flat_rejects_unfitted_tree():
 @pytest.fixture(scope="module")
 def fitted(tiny_spec, serve_cache):
     """The exact FittedPredictor the registry trains for the scenario."""
-    from repro.analysis.prediction import default_models
+    from repro.ml import default_models
     from repro.ml.pipeline import fit_predictor
     from repro.pipeline import build_dataset
 
@@ -111,7 +111,7 @@ def test_servable_identity_over_random_batches(fitted, tiny_records, batch, seed
 
 
 def test_servable_requires_a_tree_model(fitted, tiny_spec, serve_cache):
-    from repro.analysis.prediction import default_models
+    from repro.ml import default_models
     from repro.ml.pipeline import fit_predictor
     from repro.pipeline import build_dataset
 

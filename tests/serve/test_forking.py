@@ -167,8 +167,7 @@ def test_concurrent_keep_alive_traffic_matches_oracle(
     fleet counter grows by exactly the requests sent."""
     from concurrent.futures import ThreadPoolExecutor
 
-    from repro.analysis.prediction import default_models
-    from repro.ml import fit_predictor
+    from repro.ml import default_models, fit_predictor
     from repro.pipeline import build_dataset
 
     jobs = build_dataset(**tiny_spec.dataset_kwargs(), cache_dir=serve_cache).jobs

@@ -147,8 +147,7 @@ def test_estimator_models_freeze_their_user_vocabulary(tmp_path, tiny_spec):
 def test_training_never_reads_the_samples_table(tmp_path, tiny_spec, tiny_records,
                                                 monkeypatch):
     """Every served model and the fallback train on the job table alone."""
-    from repro.analysis.prediction import default_models
-    from repro.ml import fit_predictor
+    from repro.ml import default_models, fit_predictor
     from repro.pipeline import artifacts, build_dataset
     from repro.serve.registry import _fit_online
 

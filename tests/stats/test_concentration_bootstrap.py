@@ -1,11 +1,11 @@
-"""Tests for concentration curves and bootstrap CIs."""
+"""Tests for concentration curves."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.stats import bootstrap_ci, lorenz_curve, overlap_fraction, top_share
+from repro.stats import lorenz_curve, overlap_fraction, top_share
 from repro.stats.concentration import gini, top_k_ids
 
 
@@ -76,26 +76,3 @@ class TestOverlap:
         assert top_k_ids(ids, [1.0, 9.0, 5.0], 0.3).tolist() == ["b"]
         assert top_k_ids(ids, [1.0, 9.0, 5.0], 0.6).tolist() == ["b", "c"]
 
-
-class TestBootstrap:
-    def test_mean_ci_contains_truth(self, rng):
-        sample = rng.normal(loc=10.0, scale=1.0, size=400)
-        result = bootstrap_ci(sample, np.mean, rng=rng)
-        assert result.low < 10.0 < result.high
-        assert result.contains(result.estimate)
-
-    def test_interval_ordering(self, rng):
-        r = bootstrap_ci(rng.random(50), np.median, rng=rng)
-        assert r.low <= r.estimate <= r.high or r.low <= r.high  # percentile CI
-
-    def test_callable_without_axis(self, rng):
-        r = bootstrap_ci(rng.random(30), lambda x: float(np.percentile(x, 90)), rng=rng)
-        assert r.low <= r.high
-
-    def test_bad_level(self):
-        with pytest.raises(ValueError):
-            bootstrap_ci([1.0], level=1.5)
-
-    def test_empty(self):
-        with pytest.raises(ValueError):
-            bootstrap_ci([])

@@ -1,4 +1,4 @@
-"""Tests for ECDF, quantiles, histograms, and summaries."""
+"""Tests for ECDF, quantiles and histograms."""
 
 import numpy as np
 import pytest
@@ -7,14 +7,10 @@ from hypothesis import strategies as st
 
 from repro.stats import (
     ECDF,
-    cdf_at,
-    coefficient_of_variation,
-    describe,
     fraction_below,
     freedman_diaconis_bins,
     histogram_pdf,
     quantile,
-    weighted_mean,
 )
 
 finite_floats = st.floats(min_value=-1e9, max_value=1e9, allow_nan=False)
@@ -72,53 +68,11 @@ class TestECDF:
 
 
 class TestHelpers:
-    def test_cdf_at(self):
-        assert cdf_at([1, 2, 3, 4], 2) == 0.5
-
     def test_fraction_below(self):
         assert fraction_below([1.0, 2.0, 3.0], 2.0) == pytest.approx(1 / 3)
 
     def test_quantile(self):
         assert quantile([0.0, 10.0], 0.5) == 5.0
-
-
-class TestDescribe:
-    def test_values(self):
-        s = describe([1.0, 2.0, 3.0, 4.0])
-        assert s.count == 4
-        assert s.mean == 2.5
-        assert s.median == 2.5
-        assert s.min == 1.0 and s.max == 4.0
-
-    def test_as_dict_keys(self):
-        d = describe([1.0]).as_dict()
-        assert set(d) == {"count", "mean", "std", "min", "p25", "median", "p75", "max"}
-
-    def test_empty(self):
-        with pytest.raises(ValueError):
-            describe([])
-
-
-class TestWeightedMean:
-    def test_basic(self):
-        assert weighted_mean([1.0, 3.0], [1.0, 3.0]) == 2.5
-
-    def test_zero_weights(self):
-        with pytest.raises(ValueError):
-            weighted_mean([1.0], [0.0])
-
-    def test_negative_weights(self):
-        with pytest.raises(ValueError):
-            weighted_mean([1.0, 2.0], [1.0, -1.0])
-
-
-class TestCoV:
-    def test_basic(self):
-        assert coefficient_of_variation([1.0, 1.0]) == 0.0
-
-    def test_zero_mean(self):
-        with pytest.raises(ValueError):
-            coefficient_of_variation([-1.0, 1.0])
 
 
 class TestHistogram:

@@ -125,3 +125,50 @@ print(json.dumps({"traces": len(dataset.traces),
 """, str(tmp_path)))
     assert report["traces"] > 0
     assert report["signal"] == []
+
+
+def _names_analysis(node: ast.Import | ast.ImportFrom) -> bool:
+    if isinstance(node, ast.ImportFrom):
+        if node.level or node.module is None:
+            return False
+        names = [node.module]
+        if node.module == "repro":
+            names += [f"repro.{alias.name}" for alias in node.names]
+    else:
+        names = [alias.name for alias in node.names]
+    return any(name == "repro.analysis" or name.startswith("repro.analysis.")
+               for name in names)
+
+
+def test_serving_never_imports_the_analysis_layer():
+    """Not at import time and not inside a function: ``repro.analysis``
+    loads ``scipy.special``, which a serving process never needs."""
+    offenders = []
+    for path in sorted((SRC / "repro" / "serve").rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        for node in ast.walk(ast.parse(path.read_text(), filename=rel)):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and _names_analysis(node):
+                offenders.append(f"{rel}:{node.lineno}")
+    assert not offenders, "repro.serve imports repro.analysis: " + ", ".join(offenders)
+
+
+def test_training_a_served_model_imports_no_scipy(tmp_path):
+    from repro.pipeline import build_dataset
+    from repro.spec import ScenarioSpec
+
+    spec = ScenarioSpec("emmy", seed=3, num_nodes=24, num_users=10, horizon_days=2,
+                        max_traces=10)
+    build_dataset(**spec.dataset_kwargs(), cache_dir=tmp_path)
+    report = json.loads(_run("""
+import json
+from repro.serve.registry import ModelRegistry
+from repro.spec import ScenarioSpec
+registry = ModelRegistry(cache_dir=sys.argv[1])
+spec = ScenarioSpec("emmy", seed=3, num_nodes=24, num_users=10, horizon_days=2,
+                    max_traces=10)
+registry.get(spec, "BDT")
+print(json.dumps({"trained": registry.stats()["trained"],
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+""", str(tmp_path)))
+    assert report["trained"] == 1
+    assert report["scipy"] == []

@@ -3,18 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.rng import RngFactory, spawn_rngs
-from repro.units import (
-    DAY,
-    HOUR,
-    MINUTE,
-    energy_joules,
-    hours,
-    joules_to_kwh,
-    minutes,
-    node_seconds_to_node_hours,
-    watts_to_kilowatts,
-)
+from repro.rng import RngFactory
+from repro.units import DAY, HOUR, MINUTE, hours, minutes
 
 
 class TestRngFactory:
@@ -51,16 +41,6 @@ class TestRngFactory:
         with pytest.raises(TypeError):
             RngFactory("seed")
 
-    def test_spawn_rngs_independent(self):
-        streams = list(spawn_rngs(5, 3))
-        assert len(streams) == 3
-        values = [s.random() for s in streams]
-        assert len(set(values)) == 3
-
-    def test_spawn_rngs_negative(self):
-        with pytest.raises(ValueError):
-            list(spawn_rngs(0, -1))
-
 
 class TestUnits:
     def test_constants(self):
@@ -69,20 +49,3 @@ class TestUnits:
     def test_minutes_hours(self):
         assert minutes(2) == 120.0
         assert hours(1.5) == 5400.0
-
-    def test_watts_to_kilowatts(self):
-        assert watts_to_kilowatts(1500.0) == 1.5
-        np.testing.assert_allclose(watts_to_kilowatts([1000, 2000]), [1.0, 2.0])
-
-    def test_joules_to_kwh(self):
-        assert joules_to_kwh(3.6e6) == 1.0
-
-    def test_node_hours(self):
-        assert node_seconds_to_node_hours(7200) == 2.0
-
-    def test_energy(self):
-        assert energy_joules(100.0, 60.0) == 6000.0
-
-    def test_energy_negative_duration(self):
-        with pytest.raises(ValueError):
-            energy_joules(100.0, -1.0)
