@@ -9,9 +9,8 @@ and every operation is vectorized.
 
 from repro.frames.column import as_column
 from repro.frames.groupby import GroupBy
-from repro.frames.io import iter_npz, read_csv, read_npz, write_csv, write_npz
+from repro.frames.io import iter_npz, open_npz, read_csv, read_npz, write_csv, write_npz
 from repro.frames.join import join
-from repro.frames.ops import quantile_table
 from repro.frames.table import Table, concat, concat_columns
 
 __all__ = [
@@ -24,7 +23,7 @@ __all__ = [
     "read_csv",
     "write_csv",
     "read_npz",
+    "open_npz",
     "iter_npz",
     "write_npz",
-    "quantile_table",
 ]

@@ -5,10 +5,11 @@ the fast binary format used for intermediate artifacts. Both round-trip
 column order, and NPZ round-trips dtypes exactly.
 
 NPZ is also written and read one column at a time: :func:`write_npz`
-accepts a stream of ``(name, column)`` pairs and :func:`iter_npz`
-yields one, so a pass over a large table can hold one column at a
-time. The on-disk layout (one ``col::<name>`` member per column, then
-an ``__order__`` member) is known only to this module.
+accepts a stream of ``(name, column)`` pairs, :func:`iter_npz` yields
+one and :func:`open_npz` loads one by name, so a pass over a large table
+can hold one column at a time. The on-disk layout (one ``col::<name>``
+member per column, then an ``__order__`` member) is known only to this
+module.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ import csv
 import io
 import os
 import zipfile
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -26,7 +28,7 @@ from repro.errors import ColumnMismatchError, FrameError
 from repro.frames.column import as_column
 from repro.frames.table import Table
 
-__all__ = ["write_csv", "read_csv", "write_npz", "iter_npz", "read_npz"]
+__all__ = ["write_csv", "read_csv", "write_npz", "open_npz", "iter_npz", "read_npz"]
 
 
 def write_csv(table: Table, path: str | os.PathLike) -> None:
@@ -182,6 +184,24 @@ def _write_member(zf: zipfile.ZipFile, name: str, array: np.ndarray, method: int
             member.write(data[start:start + _SLICE_BYTES])
 
 
+@contextmanager
+def open_npz(
+    path: str | os.PathLike,
+) -> Iterator[tuple[list[str], Callable[[str], np.ndarray]]]:
+    """Open a :func:`write_npz` file for reading its columns by name.
+
+    ``with open_npz(path) as (names, column):`` gives the stored column
+    names and a function that loads one column (one zip member, an
+    owned array) each time it is called, so a caller that reads only
+    some columns, in its own order, holds only what it keeps. Raises
+    :class:`FrameError` for an NPZ file :func:`write_npz` did not write.
+    """
+    with np.load(Path(path), allow_pickle=False) as data:
+        if "__order__" not in data:
+            raise FrameError(f"{path} is not a frames NPZ file (missing __order__)")
+        yield data["__order__"].tolist(), lambda name: data[f"col::{name}"]
+
+
 def iter_npz(path: str | os.PathLike) -> Iterator[tuple[str, np.ndarray]]:
     """Yield the columns of a :func:`write_npz` file as ``(name, column)``.
 
@@ -190,11 +210,9 @@ def iter_npz(path: str | os.PathLike) -> Iterator[tuple[str, np.ndarray]]:
     column at a time. Raises :class:`FrameError` (at the first step) for
     an NPZ file :func:`write_npz` did not write.
     """
-    with np.load(Path(path), allow_pickle=False) as data:
-        if "__order__" not in data:
-            raise FrameError(f"{path} is not a frames NPZ file (missing __order__)")
-        for name in data["__order__"].tolist():
-            yield name, data[f"col::{name}"]
+    with open_npz(path) as (names, column):
+        for name in names:
+            yield name, column(name)
 
 
 def read_npz(path: str | os.PathLike) -> Table:

@@ -56,20 +56,22 @@ class FLDARegressor(Estimator):
     # -- encoding ----------------------------------------------------------
 
     def _expand(self, X: np.ndarray) -> np.ndarray:
-        """One-hot categoricals + standardized numerics."""
-        blocks: list[np.ndarray] = []
+        """One-hot categoricals + standardized numerics, written into one
+        matrix allocated once."""
+        rows = np.arange(X.shape[0])
+        Z = np.zeros((X.shape[0], sum(self._cat_cards) + len(self._num_idx)))
+        offset = 0
         for j, card in zip(self._cat, self._cat_cards):
             codes = X[:, j].astype(np.int64)
             if np.any((codes < 0) | (codes >= card)):
                 raise ModelError(
                     f"categorical feature {j} has codes outside [0, {card})"
                 )
-            onehot = np.zeros((X.shape[0], card))
-            onehot[np.arange(X.shape[0]), codes] = 1.0
-            blocks.append(onehot)
+            Z[rows, offset + codes] = 1.0
+            offset += card
         if len(self._num_idx):
-            blocks.append((X[:, self._num_idx] - self._num_mean) / self._num_scale)
-        return np.hstack(blocks)
+            Z[:, offset:] = (X[:, self._num_idx] - self._num_mean) / self._num_scale
+        return Z
 
     # -- fitting -------------------------------------------------------------
 

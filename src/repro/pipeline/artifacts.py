@@ -25,18 +25,11 @@ import json
 import os
 from pathlib import Path
 
-import numpy as np
-
 from repro.cluster.specs import SystemSpec
-from repro.errors import CacheError
+from repro.errors import CacheError, SchemaError
 from repro.frames import Table, read_npz, write_npz
 from repro.telemetry.dataset import JobDataset
-from repro.telemetry.samples_schema import (
-    load_samples,
-    sample_columns,
-    save_samples,
-    traces_from_samples,
-)
+from repro.telemetry.samples_schema import load_traces, sample_columns, save_samples
 from repro.telemetry.schema import load_jobs_npz, save_jobs_npz
 
 __all__ = [
@@ -115,7 +108,16 @@ def load_jobs(artifact_dir: str | os.PathLike) -> Table:
 
 
 def load_dataset(artifact_dir: str | os.PathLike) -> JobDataset:
-    """Rebuild a :class:`JobDataset` from a :func:`save_dataset` artifact."""
+    """Rebuild a :class:`JobDataset` from a :func:`save_dataset` artifact.
+
+    The traces come from ``samples.npz`` through
+    :func:`~repro.telemetry.samples_schema.load_traces`, one column at a
+    time, and both ``traces`` and ``trace_allocations`` are keyed in
+    ``dataset.json``'s ``trace_order``, as the built dataset was. Raises
+    :class:`SchemaError` unless ``trace_order`` lists every sampled job
+    exactly once and nothing else (a trace order with no
+    ``samples.npz`` included), besides the errors of ``load_traces``.
+    """
     artifact_dir = Path(artifact_dir)
     jobs = load_jobs(artifact_dir)
     meta = json.loads((artifact_dir / DATASET_META_NAME).read_text())
@@ -125,19 +127,34 @@ def load_dataset(artifact_dir: str | os.PathLike) -> JobDataset:
 
     timeline = read_npz(artifact_dir / TIMELINE_NAME)
 
-    traces: dict[int, np.ndarray] = {}
-    allocations: dict[int, np.ndarray] = {}
+    order: list[int] = meta["trace_order"]
     samples_path = artifact_dir / SAMPLES_NAME
-    if samples_path.is_file():
-        rebuilt, allocations = traces_from_samples(load_samples(samples_path), jobs)
-        traces = {jid: rebuilt[jid] for jid in meta["trace_order"]}
+    traces, allocations = (
+        load_traces(samples_path, jobs) if samples_path.is_file() else ({}, {})
+    )
+    _check_trace_order(artifact_dir, order, traces)
 
     return JobDataset(
         spec=spec,
         jobs=jobs,
-        traces=traces,
+        traces={jid: traces[jid] for jid in order},
         horizon_s=int(meta["horizon_s"]),
         active_nodes=timeline["active_nodes"],
         job_power_watts=timeline["job_power_watts"],
-        trace_allocations=allocations,
+        trace_allocations={jid: allocations[jid] for jid in order},
     )
+
+
+def _check_trace_order(artifact_dir: Path, order: list[int], sampled) -> None:
+    """Raise :class:`SchemaError`, naming the first offending job ids,
+    unless ``order`` lists each job in ``sampled`` exactly once."""
+    listed, ranked = set(order), sorted(order)
+    for problem, ids in (
+        ("lists jobs without samples", [j for j in order if j not in sampled]),
+        ("omits sampled jobs", [j for j in sampled if j not in listed]),
+        ("repeats jobs", [a for a, b in zip(ranked, ranked[1:]) if a == b]),
+    ):
+        if ids:
+            raise SchemaError(
+                f"{artifact_dir / DATASET_META_NAME}: trace_order {problem} {ids[:5]}"
+            )

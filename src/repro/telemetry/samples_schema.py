@@ -16,8 +16,8 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from repro.errors import SchemaError
-from repro.frames import Table, read_csv, read_npz, write_csv, write_npz
+from repro.errors import ColumnMismatchError, SchemaError
+from repro.frames import Table, open_npz, read_csv, read_npz, write_csv, write_npz
 from repro.telemetry.dataset import JobDataset
 from repro.telemetry.trace import JobPowerTrace
 
@@ -27,6 +27,7 @@ __all__ = [
     "samples_table",
     "validate_samples",
     "traces_from_samples",
+    "load_traces",
     "save_samples",
     "load_samples",
 ]
@@ -100,6 +101,19 @@ def samples_table(dataset: JobDataset) -> Table:
     return Table(dict(sample_columns(dataset.traces, dataset.trace_allocations)))
 
 
+def _check(name: str, column: np.ndarray) -> np.ndarray:
+    """``column``, unless it breaks the sample schema as column ``name``:
+    then raise :class:`SchemaError`."""
+    kind = SAMPLE_COLUMNS.get(name)
+    if kind is not None and column.dtype.kind != kind:
+        raise SchemaError(
+            f"column {name!r} has dtype kind {column.dtype.kind!r}, expected {kind!r}"
+        )
+    if name == "power_w" and np.any(column < 0):
+        raise SchemaError("power_w must be non-negative")
+    return column
+
+
 def _checked(samples: Table | Columns) -> Iterator[tuple[str, np.ndarray]]:
     """Pass a table's columns or a column stream through, raising
     :class:`SchemaError` on the first column (or, at the end, the first
@@ -107,19 +121,15 @@ def _checked(samples: Table | Columns) -> Iterator[tuple[str, np.ndarray]]:
     columns = samples.to_dict().items() if isinstance(samples, Table) else samples
     seen = set()
     for name, column in columns:
-        kind = SAMPLE_COLUMNS.get(name)
-        if kind is not None and column.dtype.kind != kind:
-            raise SchemaError(
-                f"column {name!r} has dtype kind {column.dtype.kind!r}, "
-                f"expected {kind!r}"
-            )
-        if name == "power_w" and np.any(column < 0):
-            raise SchemaError("power_w must be non-negative")
         seen.add(name)
-        yield name, column
+        yield name, _check(name, column)
         # Let the stream build its next column without this one alive.
         del column
-    missing = [c for c in SAMPLE_COLUMNS if c not in seen]
+    _require_columns(seen)
+
+
+def _require_columns(names) -> None:
+    missing = [c for c in SAMPLE_COLUMNS if c not in names]
     if missing:
         raise SchemaError(f"sample table is missing columns {missing}")
 
@@ -135,11 +145,78 @@ def traces_from_samples(
 ) -> tuple[dict[int, JobPowerTrace], dict[int, np.ndarray]]:
     """Rebuild trace matrices (and allocations) from a flat sample table.
 
-    Rows may come in any order. Traces are returned in ascending job id.
-    ``jobs`` (optional, the job-level table) supplies user/app identity;
-    without it those fields are filled with placeholders.
+    Rows may come in any order. Traces are returned in ascending job id,
+    with each job's physical node ids (one per node rank) as its
+    allocation. ``jobs`` (optional, the job-level table) supplies
+    user/app identity; without it those fields are filled with
+    placeholders. Raises :class:`SchemaError` when the table breaks the
+    schema or a job lacks, or repeats, a (node_rank, minute) sample.
     """
-    validate_samples(samples)
+    return _traces(samples.column_names, samples.__getitem__, jobs)
+
+
+def load_traces(
+    path: str | os.PathLike, jobs: Table | None = None
+) -> tuple[dict[int, JobPowerTrace], dict[int, np.ndarray]]:
+    """:func:`traces_from_samples` of a samples NPZ, never holding the table.
+
+    Reads the file's columns by name, one at a time, and drops each
+    before reading the next, so it holds at most one sample column beside
+    the traces it builds (:func:`load_samples` holds all five). Raises
+    :class:`~repro.errors.FrameError` for an NPZ file
+    :func:`~repro.frames.write_npz` did not write and
+    :class:`~repro.errors.ColumnMismatchError` for columns of unequal
+    length, besides the errors of :func:`traces_from_samples`.
+    """
+    with open_npz(path) as (names, column):
+        return _traces(names, column, jobs)
+
+
+#: The columns that fix the rows' layout, in the order they are read.
+_LAYOUT = ("job_id", "node_rank", "minute")
+
+
+def _traces(
+    names: list[str], column: Callable[[str], np.ndarray], jobs: Table | None
+) -> tuple[dict[int, JobPowerTrace], dict[int, np.ndarray]]:
+    """The traces and allocations of the sample table whose columns are
+    ``names``, each returned by ``column(name)``.
+
+    Asks for job_id, node_rank, minute, node_id and power_w in that
+    order and keeps none of them past its step, so a ``column`` that
+    loads on demand holds one column beside the traces. Every writer
+    here emits the rows grouped by job and row-major within it (node
+    rank, then minute), and each trace is then one run of rows; a table
+    in any other order is sorted into that layout once.
+    """
+    _require_columns(names)
+    rows: list[int] = []
+    order: np.ndarray | None = None
+
+    def get(name: str) -> np.ndarray:
+        values = _check(name, column(name))
+        rows.append(len(values))
+        if rows[-1] != rows[0]:
+            raise ColumnMismatchError(
+                f"column {name!r} has {rows[-1]} rows, the ones before it {rows[0]}"
+            )
+        return values if order is None else values[order]
+
+    runs = _runs(get)
+    if runs is None:
+        # Not grouped (a shuffled CSV, say): from here on ``get`` returns
+        # every column in (job_id, node_rank, minute) order.
+        order = np.lexsort([get(name) for name in reversed(_LAYOUT)])
+        runs = _runs(get)
+        if runs is None:
+            raise _layout_error(get)
+    runs.sort()
+
+    nodes = get("node_id")
+    allocations = {
+        jid: np.array(nodes[lo:lo + n * m:m], dtype=np.int64) for jid, lo, n, m in runs
+    }
+    del nodes
     identity: dict[int, tuple[str, str, str]] = {}
     if jobs is not None:
         for jid, user, app, system in zip(
@@ -147,45 +224,69 @@ def traces_from_samples(
             jobs["app"].tolist(), jobs["system"].tolist(),
         ):
             identity[int(jid)] = (user, app, system)
-
-    # One stable sort groups each job's rows, in their table order.
-    order = np.argsort(samples["job_id"], kind="stable")
-    sorted_ids = samples["job_id"][order]
-    starts = np.flatnonzero(sorted_ids[1:] != sorted_ids[:-1]) + 1
-    bounds = [0, *starts.tolist(), len(order)] if len(order) else [0]
-    job_ids = sorted_ids[bounds[:-1]].tolist()
-    del sorted_ids
-    ranks_all, minutes_all = samples["node_rank"], samples["minute"]
-    nodes_all, power_all = samples["node_id"], samples["power_w"]
-
+    power = get("power_w")
     traces: dict[int, JobPowerTrace] = {}
-    allocations: dict[int, np.ndarray] = {}
-    for job_id, lo, hi in zip(job_ids, bounds[:-1], bounds[1:]):
-        rows = order[lo:hi]
-        ranks, minutes = ranks_all[rows], minutes_all[rows]
-        n = int(ranks.max()) + 1
-        m = int(minutes.max()) + 1
+    for jid, lo, n, m in runs:
+        user, app, system = identity.get(jid, ("unknown", "unknown", "unknown"))
+        # An owned copy, so no trace keeps the column alive.
+        matrix = np.array(power[lo:lo + n * m].reshape(n, m), dtype=np.float64)
+        traces[jid] = JobPowerTrace(
+            job_id=jid, user_id=user, app=app, system=system, matrix=matrix
+        )
+    return traces, allocations
+
+
+def _runs(get: Callable[[str], np.ndarray]) -> list[tuple[int, int, int, int]] | None:
+    """Each job's ``(job_id, first row, nodes, minutes)`` if its rows are
+    one run, ranks ``repeat(arange(nodes), minutes)`` and minutes
+    ``tile(arange(minutes), nodes)``; None if any job's are not."""
+    ids = get("job_id")
+    firsts = np.flatnonzero(ids[1:] != ids[:-1]) + 1
+    if len(ids):
+        firsts = np.r_[0, firsts]
+    job_ids, total = ids[firsts], len(ids)
+    del ids
+    if len(np.unique(job_ids)) < len(job_ids):
+        return None
+    bounds = [*firsts.tolist(), total]
+    runs = []
+    ranks = get("node_rank")
+    for jid, lo, hi in zip(job_ids.tolist(), bounds[:-1], bounds[1:]):
+        n = int(ranks[hi - 1]) + 1
+        m = (hi - lo) // n if n > 0 else 0
+        if n * m != hi - lo or not np.all(
+            ranks[lo:hi].reshape(n, m) == np.arange(n)[:, None]
+        ):
+            return None
+        runs.append((jid, lo, n, m))
+    del ranks
+    minutes = get("minute")
+    for _, lo, n, m in runs:
+        if not np.all(minutes[lo:lo + n * m].reshape(n, m) == np.arange(m)):
+            return None
+    return runs
+
+
+def _layout_error(get: Callable[[str], np.ndarray]) -> SchemaError:
+    """The error for sorted rows that :func:`_runs` rejects, naming the
+    first job (in id order) that lacks or repeats a cell."""
+    ids, ranks, minutes = (get(name) for name in _LAYOUT)
+    starts = (np.flatnonzero(ids[1:] != ids[:-1]) + 1).tolist()
+    for lo, hi in zip([0, *starts], [*starts, len(ids)]):
+        job_ranks, job_minutes = ranks[lo:hi], minutes[lo:hi]
+        n, m = int(job_ranks.max()) + 1, int(job_minutes.max()) + 1
         if hi - lo != n * m:
-            raise SchemaError(f"job {job_id}: expected {n * m} samples, got {hi - lo}")
+            return SchemaError(f"job {ids[lo]}: expected {n * m} samples, got {hi - lo}")
         # The count alone passes a duplicated row standing in for a
         # missing one, which would leave a matrix cell unwritten.
         written = np.zeros((n, m), dtype=bool)
-        written[ranks, minutes] = True
+        written[job_ranks, job_minutes] = True
         if not written.all():
-            raise SchemaError(
-                f"job {job_id}: expected one sample per (node_rank, minute), "
+            return SchemaError(
+                f"job {ids[lo]}: expected one sample per (node_rank, minute), "
                 f"{n * m - int(written.sum())} missing and as many duplicated"
             )
-        matrix = np.empty((n, m))
-        matrix[ranks, minutes] = power_all[rows]
-        physical = np.empty(n, dtype=np.int64)
-        physical[ranks] = nodes_all[rows]
-        user, app, system = identity.get(job_id, ("unknown", "unknown", "unknown"))
-        traces[job_id] = JobPowerTrace(
-            job_id=job_id, user_id=user, app=app, system=system, matrix=matrix
-        )
-        allocations[job_id] = physical
-    return traces, allocations
+    return SchemaError("node_rank and minute must count up from 0 within each job")
 
 
 def save_samples(samples: Table | Columns, path: str | os.PathLike) -> None:

@@ -1,4 +1,4 @@
-"""Tests for join, CSV/NPZ round-trips, and misc ops."""
+"""Tests for join and CSV/NPZ round-trips."""
 
 import numpy as np
 import pytest
@@ -7,13 +7,11 @@ from repro.errors import ColumnMismatchError, FrameError
 from repro.frames import (
     Table,
     join,
-    quantile_table,
     read_csv,
     read_npz,
     write_csv,
     write_npz,
 )
-from repro.frames.ops import cut
 
 
 class TestJoin:
@@ -109,25 +107,3 @@ class TestIO:
         write_csv(t, path)
         assert read_csv(path)["x"][0] == 0.1 + 0.2
 
-
-class TestOps:
-    def test_quantile_table(self):
-        t = Table({"x": [1.0, 2.0, 3.0, 4.0, 5.0]})
-        q = quantile_table(t, "x", qs=(0.0, 0.5, 1.0))
-        assert q["x"].tolist() == [1.0, 3.0, 5.0]
-
-    def test_quantile_table_rejects_strings(self):
-        with pytest.raises(FrameError):
-            quantile_table(Table({"s": ["a"]}), "s")
-
-    def test_quantile_table_rejects_bad_q(self):
-        with pytest.raises(FrameError):
-            quantile_table(Table({"x": [1.0]}), "x", qs=(1.5,))
-
-    def test_cut(self):
-        out = cut([0.5, 1.0, 2.5, 10.0], edges=[1.0, 2.0, 3.0])
-        assert out.tolist() == [0, 1, 2, 3]
-
-    def test_cut_rejects_unsorted(self):
-        with pytest.raises(FrameError):
-            cut([1.0], edges=[2.0, 1.0])

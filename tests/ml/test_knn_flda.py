@@ -1,11 +1,14 @@
 """Tests for KNN and FLDA regressors."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import repro.ml.knn as knn_mod
 from repro.errors import ModelError, NotFittedError
 from repro.ml import FLDARegressor, KNNRegressor
+from tests.helpers.memory import traced
 
 
 class TestKNN:
@@ -117,3 +120,52 @@ class TestFLDA:
             FLDARegressor(ridge=0.0)
         with pytest.raises(NotFittedError):
             FLDARegressor().predict(np.zeros((1, 1)))
+
+
+def _hstack_expand(self, X):
+    """The design matrix as separate one-hot blocks joined by
+    ``np.hstack``: the oracle for the matrix FLDA writes in place."""
+    blocks = []
+    for j, card in zip(self._cat, self._cat_cards):
+        onehot = np.zeros((X.shape[0], card))
+        onehot[np.arange(X.shape[0]), X[:, j].astype(np.int64)] = 1.0
+        blocks.append(onehot)
+    if len(self._num_idx):
+        blocks.append((X[:, self._num_idx] - self._num_mean) / self._num_scale)
+    return np.hstack(blocks)
+
+
+class TestFLDADesignMatrix:
+    """The design matrix is allocated once: fit and predict hold about
+    one copy of it, and predict what the block layout predicts."""
+
+    USERS = 200
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        rng = np.random.default_rng(11)
+        n = 20_000
+        user = rng.integers(0, self.USERS, n)
+        X = np.column_stack([user, rng.normal(size=n), rng.exponential(size=n)])
+        y = 100.0 + (user % 9) * 20.0 + 15.0 * X[:, 1] + rng.normal(0.0, 5.0, n)
+        return X, y
+
+    def test_fit_and_predict_peak_near_one_design_matrix(self, data):
+        X, y = data
+        design_bytes = X.shape[0] * (self.USERS + 2) * 8
+        model = FLDARegressor()
+        tracemalloc.start()
+        try:
+            _, fit_peak = traced(model.fit, X, y, (0,))
+            _, predict_peak = traced(model.predict, X)
+        finally:
+            tracemalloc.stop()
+        assert fit_peak <= 1.6 * design_bytes
+        assert predict_peak <= 1.6 * design_bytes
+
+    def test_predictions_match_the_block_layout(self, data, monkeypatch):
+        X, y = data
+        lean = FLDARegressor().fit(X, y, categorical=(0,)).predict(X)
+        monkeypatch.setattr(FLDARegressor, "_expand", _hstack_expand)
+        oracle = FLDARegressor().fit(X, y, categorical=(0,)).predict(X)
+        np.testing.assert_array_equal(lean, oracle)

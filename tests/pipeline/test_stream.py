@@ -43,6 +43,7 @@ from repro.scheduler.simulator import SchedulerConfig, Simulator
 from repro.telemetry.dataset import build_inputs, sample_telemetry
 from repro.telemetry.stream import TelemetryStream
 from repro.workload.generator import WorkloadGenerator
+from tests.helpers.memory import traced
 
 TINY = dict(num_nodes=24, num_users=8, horizon_s=5 * 86400, max_traces=16)
 # build_inputs() takes the cluster-shape knobs but not max_traces.
@@ -413,16 +414,6 @@ class TestSidecarTiming:
         assert streamed.load_meta(PLAN_STAGE, plan_key(shard))["seconds"] >= 0.3
 
 
-def _traced(fn, *args):
-    """``fn(*args)``, and the bytes it allocated at its peak above what it
-    started with. numpy reports its buffers to tracemalloc (which the
-    caller has started), so the figure is deterministic."""
-    tracemalloc.reset_peak()
-    base = tracemalloc.get_traced_memory()[0]
-    result = fn(*args)
-    return result, tracemalloc.get_traced_memory()[1] - base
-
-
 def _table_bytes(path) -> int:
     table = read_npz(path)
     return sum(table[n].nbytes for n in table.column_names)
@@ -444,7 +435,7 @@ class TestSamplesMemory:
 
         def store(self, stage, key, build, meta):
             def measured(tmp_dir):
-                extra, spill_peaks[key] = _traced(build, tmp_dir)
+                extra, spill_peaks[key] = traced(build, tmp_dir)
                 return extra
 
             return real_store(self, stage, key,
@@ -466,7 +457,7 @@ class TestSamplesMemory:
         out = tmp_path / "samples.npz"
         tracemalloc.start()
         try:
-            _, peak = _traced(stream_mod._compact_samples, (dirs, str(out)))
+            _, peak = traced(stream_mod._compact_samples, (dirs, str(out)))
         finally:
             tracemalloc.stop()
         assert peak < _table_bytes(out)

@@ -156,7 +156,7 @@ def test_training_never_reads_the_samples_table(tmp_path, tiny_spec, tiny_record
     def no_samples(*args, **kwargs):
         raise AssertionError("the registry read the samples table")
 
-    monkeypatch.setattr(artifacts, "load_samples", no_samples)
+    monkeypatch.setattr(artifacts, "load_traces", no_samples)
     registry = ModelRegistry(cache_dir=tmp_path)
     for model in ("BDT", "KNN", "FLDA"):
         oracle = fit_predictor(jobs, default_models()[model], model_name=model)

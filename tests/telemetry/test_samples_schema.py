@@ -72,6 +72,21 @@ class TestRoundTrip:
         with pytest.raises(SchemaError, match="1 missing"):
             traces_from_samples(samples.take(rows))
 
+    def test_one_job_reversed_matches_the_grouped_table(self, emmy_small):
+        """A job whose rows run backwards is sorted back into its matrix."""
+        samples = samples_table(emmy_small)
+        ids = samples["job_id"]
+        job = list(emmy_small.traces)[3]
+        rows = np.flatnonzero(ids == job)
+        order = np.arange(len(samples))
+        order[rows] = rows[::-1]
+        traces, allocations = traces_from_samples(samples, emmy_small.jobs)
+        back, back_alloc = traces_from_samples(samples.take(order), emmy_small.jobs)
+        assert list(back) == list(traces)
+        for job_id, trace in traces.items():
+            np.testing.assert_array_equal(back[job_id].matrix, trace.matrix)
+            np.testing.assert_array_equal(back_alloc[job_id], allocations[job_id])
+
     def test_row_order_does_not_matter(self, emmy_small):
         """``load_samples`` accepts CSV rows in any order; so must grouping."""
         samples = samples_table(emmy_small)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.rng import RngFactory
-from repro.units import DAY, HOUR, MINUTE, hours, minutes
+from repro.units import DAY, HOUR, MINUTE
 
 
 class TestRngFactory:
@@ -45,7 +45,3 @@ class TestRngFactory:
 class TestUnits:
     def test_constants(self):
         assert MINUTE == 60 and HOUR == 3600 and DAY == 86400
-
-    def test_minutes_hours(self):
-        assert minutes(2) == 120.0
-        assert hours(1.5) == 5400.0
