@@ -26,7 +26,7 @@ def test_ablation_baselines(benchmark, report, emmy_full):
     }
     results = benchmark.pedantic(
         run_prediction,
-        args=(emmy_full,),
+        args=(emmy_full.jobs,),
         kwargs={"models": models, "n_repeats": 2, "seed": 0},
         rounds=1,
         iterations=1,

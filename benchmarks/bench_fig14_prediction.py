@@ -15,8 +15,8 @@ N_REPEATS = 3  # the paper uses 10; 3 keeps the bench affordable
 @pytest.fixture(scope="module")
 def results(emmy_full, meggie_full):
     return {
-        "emmy": run_prediction(emmy_full, n_repeats=N_REPEATS, seed=0),
-        "meggie": run_prediction(meggie_full, n_repeats=N_REPEATS, seed=0),
+        "emmy": run_prediction(emmy_full.jobs, n_repeats=N_REPEATS, seed=0),
+        "meggie": run_prediction(meggie_full.jobs, n_repeats=N_REPEATS, seed=0),
     }
 
 
@@ -27,7 +27,7 @@ def test_fig14_prediction_error(benchmark, report, emmy_full, results):
     bdt_only = {"BDT": default_models()["BDT"]}
     benchmark.pedantic(
         run_prediction,
-        args=(emmy_full,),
+        args=(emmy_full.jobs,),
         kwargs={"models": bdt_only, "n_repeats": 1, "seed": 1},
         rounds=1,
         iterations=1,

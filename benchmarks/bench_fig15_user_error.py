@@ -16,7 +16,7 @@ def test_fig15_per_user_error(benchmark, report, emmy_full):
     bdt_only = {"BDT": default_models()["BDT"]}
     results = benchmark.pedantic(
         run_prediction,
-        args=(emmy_full,),
+        args=(emmy_full.jobs,),
         kwargs={"models": bdt_only, "n_repeats": 3, "seed": 0},
         rounds=1,
         iterations=1,

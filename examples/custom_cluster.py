@@ -78,7 +78,7 @@ def main() -> None:
     print(f"stranded power on the custom machine: {power.stranded_fraction:.0%} "
           f"({power.stranded_fraction * CUSTOM.total_tdp_watts / 1e3:.0f} kW)")
 
-    results = repro.run_prediction(dataset, n_repeats=3, seed=1)
+    results = repro.run_prediction(dataset.jobs, n_repeats=3, seed=1)
     print("prediction transfers to the new machine:",
           ", ".join(f"{k} {v.summary.frac_below_10pct:.0%}<10%" for k, v in results.items()))
 

@@ -68,7 +68,7 @@ def main() -> None:
         print(f"{name}: util {util.mean:.1%}, per-node power "
               f"{dist.mean_watts:.0f} W, top-20% share {conc.energy_share:.0%}")
 
-    results = repro.run_prediction(reloaded, n_repeats=3, seed=0)
+    results = repro.run_prediction(reloaded.jobs, n_repeats=3, seed=0)
     best = results["BDT"].summary
     print(f"prediction from the exported CSV alone: "
           f"{best.frac_below_10pct:.0%} of BDT predictions within 10%")

@@ -8,8 +8,6 @@ subcommand writes it to disk.
 
 from __future__ import annotations
 
-from typing import Callable
-
 from repro.analysis.job_level import (
     feature_power_correlations,
     per_node_power_distribution,
@@ -24,6 +22,7 @@ from repro.analysis.user_level import (
     user_power_variability,
 )
 from repro.errors import AnalysisError
+from repro.frames import Table
 from repro.telemetry.dataset import JobDataset
 
 __all__ = ["full_report"]
@@ -37,7 +36,6 @@ def full_report(
     dataset: JobDataset,
     include_prediction: bool = True,
     n_repeats: int = 3,
-    run_prediction_fn: Callable | None = None,
 ) -> str:
     """Render the complete characterization of one dataset as markdown."""
     if dataset.num_jobs == 0:
@@ -120,8 +118,7 @@ def full_report(
     if include_prediction:
         from repro.analysis.prediction import run_prediction
 
-        runner = run_prediction_fn or run_prediction
-        results = runner(dataset, n_repeats=n_repeats)
+        results = run_prediction(dataset.jobs, n_repeats=n_repeats)
         add("## Pre-execution power prediction")
         add("")
         add("| model | mean err | <5% err | <10% err |")
@@ -131,12 +128,12 @@ def full_report(
             add(f"| {name} | {_pct(s.mean)} | {_pct(s.frac_below_5pct)} | "
                 f"{_pct(s.frac_below_10pct)} |")
         add("")
-        lines.extend(_track_sections(dataset, n_repeats))
+        lines.extend(_track_sections(dataset.jobs, n_repeats))
 
     return "\n".join(lines)
 
 
-def _track_sections(dataset: JobDataset, n_repeats: int) -> list[str]:
+def _track_sections(jobs: Table, n_repeats: int) -> list[str]:
     """Extra evaluation-track tables for systems that model them.
 
     A CPU-only dataset (emmy/meggie) has neither GPU nor exit-state
@@ -150,10 +147,9 @@ def _track_sections(dataset: JobDataset, n_repeats: int) -> list[str]:
 
     lines: list[str] = []
     add = lines.append
-    jobs = dataset.jobs
     if "gpu_power_w" in jobs:
         try:
-            results = run_gpu_prediction(dataset, n_repeats=n_repeats)
+            results = run_gpu_prediction(jobs, n_repeats=n_repeats)
         except AnalysisError:
             results = None  # too few GPU jobs to split; skip the table
         if results:
@@ -172,7 +168,7 @@ def _track_sections(dataset: JobDataset, n_repeats: int) -> list[str]:
             add("")
     if "failed" in jobs:
         try:
-            results = run_failure_classification(dataset, n_repeats=n_repeats)
+            results = run_failure_classification(jobs, n_repeats=n_repeats)
         except AnalysisError:
             results = None
         if results:

@@ -1,9 +1,10 @@
 """Section 5 — pre-execution power prediction (RQ9; Figs 14–15).
 
 Wires the paper's three models and evaluation protocol onto a dataset's
-job table. Features: user id, number of nodes, requested walltime —
-everything available *before* the job starts (actual runtime is
-deliberately excluded, as in the paper).
+job table (``dataset.jobs``, or :func:`repro.pipeline.build_jobs`, which
+leaves the samples on disk). Features: user id, number of nodes,
+requested walltime — everything available *before* the job starts
+(actual runtime is deliberately excluded, as in the paper).
 
 The heterogeneous systems add two more tracks on the same protocol
 (docs/SCENARIOS.md): :func:`run_gpu_prediction` regresses GPU-job board
@@ -16,6 +17,7 @@ from __future__ import annotations
 from typing import Callable, Mapping
 
 from repro.errors import AnalysisError
+from repro.frames import Table
 from repro.ml import (
     FAILURE_TRACK,
     GPU_POWER_TRACK,
@@ -25,7 +27,6 @@ from repro.ml import (
     evaluate_models,
     failure_models,
 )
-from repro.telemetry.dataset import JobDataset
 
 __all__ = [
     "run_prediction",
@@ -36,18 +37,18 @@ __all__ = [
 
 
 def run_prediction(
-    dataset: JobDataset,
+    jobs: Table,
     models: Mapping[str, Callable[[], object]] | None = None,
     n_repeats: int = 10,
     seed: int = 0,
 ) -> dict[str, PredictionResult]:
-    """Run the full Fig 14/15 evaluation on one dataset."""
-    if dataset.num_jobs < 50:
+    """Run the full Fig 14/15 evaluation on one dataset's job table."""
+    if len(jobs) < 50:
         raise AnalysisError(
-            f"prediction evaluation needs a reasonable job count, got {dataset.num_jobs}"
+            f"prediction evaluation needs a reasonable job count, got {len(jobs)}"
         )
     return evaluate_models(
-        dataset.jobs,
+        jobs,
         models or default_models(),
         n_repeats=n_repeats,
         seed=seed,
@@ -55,7 +56,7 @@ def run_prediction(
 
 
 def run_track(
-    dataset: JobDataset,
+    jobs: Table,
     track: Track,
     models: Mapping[str, Callable[[], object]] | None = None,
     n_repeats: int = 10,
@@ -63,15 +64,15 @@ def run_track(
 ) -> dict[str, PredictionResult]:
     """The paper's repeated-split protocol on one :class:`~repro.ml.Track`.
 
-    Selects the track's rows from the dataset's job table, then runs
+    Selects the track's rows from a dataset's job table, then runs
     :func:`repro.ml.evaluate_models` with the track's target, feature
     spec, and per-prediction error metric.
     """
-    rows = track.select(dataset.jobs)
+    rows = track.select(jobs)
     if len(rows) < track.min_rows:
         raise AnalysisError(
             f"track {track.name!r} needs >= {track.min_rows} eligible jobs, "
-            f"got {len(rows)} (of {dataset.num_jobs})"
+            f"got {len(rows)} (of {len(jobs)})"
         )
     return evaluate_models(
         rows,
@@ -85,25 +86,25 @@ def run_track(
 
 
 def run_gpu_prediction(
-    dataset: JobDataset,
+    jobs: Table,
     models: Mapping[str, Callable[[], object]] | None = None,
     n_repeats: int = 10,
     seed: int = 0,
 ) -> dict[str, PredictionResult]:
     """GPU-job board-power regression over the jobs holding boards."""
     return run_track(
-        dataset, GPU_POWER_TRACK, models=models, n_repeats=n_repeats, seed=seed
+        jobs, GPU_POWER_TRACK, models=models, n_repeats=n_repeats, seed=seed
     )
 
 
 def run_failure_classification(
-    dataset: JobDataset,
+    jobs: Table,
     models: Mapping[str, Callable[[], object]] | None = None,
     n_repeats: int = 10,
     seed: int = 0,
 ) -> dict[str, PredictionResult]:
     """Failure-probability classification; errors are Brier scores."""
     return run_track(
-        dataset, FAILURE_TRACK, models=models or failure_models(),
+        jobs, FAILURE_TRACK, models=models or failure_models(),
         n_repeats=n_repeats, seed=seed,
     )

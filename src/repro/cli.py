@@ -241,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     prun.add_argument("--manifest", type=Path, default=None,
                       help="also write the run manifest JSON here")
     prun.add_argument("--force", action="store_true",
-                      help="recompute every stage even on cache hits")
+                      help="rebuild every shard even on cache hits")
     prun.add_argument("--stream", action="store_true",
                       help="bounded-memory streaming build (chunk, spill, "
                       "compact); byte-identical artifacts")
@@ -268,8 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     pclean = psub.add_parser("clean", help="remove cached artifacts (targeted)")
     add_cache_arg(pclean)
     pclean.add_argument("--stage",
-                        choices=("workload", "schedule", "telemetry", "dataset",
-                                 "plan", "chunk", "model"),
+                        choices=("dataset", "plan", "chunk", "model"),
                         default=None, help="only this stage's entries "
                         "(plan/chunk = streaming-mode artifacts, model = "
                         "the serving layer's trained predictors)")
@@ -456,7 +455,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     from repro.analysis import run_prediction
 
     ds = _make_dataset(args)
-    results = run_prediction(ds, n_repeats=args.repeats, seed=args.seed)
+    results = run_prediction(ds.jobs, n_repeats=args.repeats, seed=args.seed)
     print(f"system: {ds.spec.name}  jobs: {ds.num_jobs}  repeats: {args.repeats}")
     for name, result in results.items():
         s = result.summary
@@ -718,8 +717,9 @@ def _cmd_pipeline_status(args: argparse.Namespace) -> int:
     if not entries:
         print("  (empty)")
         return 0
-    # Core pipeline stages in graph order, then extra stages (e.g. the
-    # serving layer's trained-model artifacts) alphabetically.
+    # The build steps in order (only `dataset` is cached; entries of the
+    # other three may remain from an older checkout), then every other
+    # stage directory (streaming plan/chunk, served models) alphabetically.
     extra = sorted({e.stage for e in entries} - set(STAGES))
     for stage in (*STAGES, *extra):
         stage_entries = [e for e in entries if e.stage == stage]

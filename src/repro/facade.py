@@ -68,8 +68,10 @@ def evaluate(
 ):
     """Run the paper's prediction protocol for one scenario.
 
-    Builds the scenario's dataset through the artifact cache, then runs
-    the requested evaluation track (``repro.ml.known_tracks()``):
+    Builds the scenario's dataset through the artifact cache and reads
+    its job table alone (:func:`repro.pipeline.build_jobs`; the samples
+    stay on disk), then runs the requested evaluation track
+    (``repro.ml.known_tracks()``):
 
     * ``"power"`` (default) — :func:`repro.analysis.run_prediction`,
       the paper's per-node CPU power protocol (BDT/KNN/FLDA);
@@ -93,12 +95,10 @@ def evaluate(
         "gpu_power": run_gpu_prediction,
         "failures": run_failure_classification,
     }[get_track(track).name]
-    from repro.pipeline import build_dataset
+    from repro.pipeline import build_jobs
 
-    dataset = build_dataset(
-        **spec.dataset_kwargs(), cache_dir=cache_dir, **passthrough
-    )
-    return runner(dataset, models=models, n_repeats=n_repeats, seed=spec.seed)
+    jobs = build_jobs(**spec.dataset_kwargs(), cache_dir=cache_dir, **passthrough)
+    return runner(jobs, models=models, n_repeats=n_repeats, seed=spec.seed)
 
 
 def create_server(

@@ -425,25 +425,28 @@ def _ops_loop(
     scenario: IncidentScenario,
     overlay: ScenarioSpec,
     cache_root: Path,
+    model_key: str,
     injector: LedgerInjector,
     events: list[dict[str, Any]],
     events_lock: threading.Lock,
 ) -> None:
     """Operator activity: forced pipeline rebuilds and artifact reads.
 
-    This is what drives the cache.write / telemetry.drop points (the
-    rebuild) and cache.read / cache.corrupt (the reads). Every outcome —
-    success, gap-filled telemetry, or a typed failure — is an event a
-    detector may use; the *exception type plus operation* is the
-    observable, never the injector's own accounting.
+    Each round force-rebuilds the overlay dataset, which drives the
+    cache.write / telemetry.drop points, then reads the served model's
+    pickle (``model_key`` under ``MODEL_STAGE``), which drives
+    cache.read / cache.corrupt. Every outcome — success, gap-filled
+    telemetry, or a typed failure — is an event a detector may use; the
+    *exception type plus operation* is the observable, never the
+    injector's own accounting.
     """
     from repro.pipeline import ArtifactCache, run_pipeline
-    from repro.pipeline.config import ShardConfig, stage_key
+    from repro.pipeline.config import ShardConfig
+    from repro.serve.registry import MODEL_STAGE
 
     load = scenario.load
     cache = ArtifactCache(cache_root)
     shard = ShardConfig.from_scenario(overlay)
-    key = stage_key(shard, "schedule")
 
     def emit(kind: str, **extra: Any) -> None:
         with events_lock:
@@ -465,7 +468,7 @@ def _ops_loop(
             emit("build_ok", gaps=int(manifest.n_gaps))
         for _ in range(load.reads_per_round):
             try:
-                cache.load_pickle("schedule", key)
+                cache.load_pickle(MODEL_STAGE, model_key)
             except pickle.UnpicklingError as exc:
                 emit("read_error", error_type="UnpicklingError", message=str(exc))
             except CacheError as exc:
@@ -584,9 +587,10 @@ def run_scenario(
             ))
             expected = service.predict_request(baseline).predictions
 
-            # Warmup, unarmed: pre-build the overlay dataset (the ops
-            # reads and overlay training consume it) and pin the healthy
-            # latency reference nothing faulty has touched yet.
+            # Warmup, unarmed: pre-build the overlay dataset (overlay
+            # training consumes it) and pin the healthy latency
+            # reference nothing faulty has touched yet. The ops reads
+            # take the BDT model the warm start committed to the cache.
             from repro.pipeline import run_pipeline
             from repro.pipeline.config import ShardConfig
 
@@ -636,8 +640,9 @@ def run_scenario(
                     threads.append(
                         threading.Thread(
                             target=_ops_loop,
-                            args=(scenario, overlay, cache_root, injector,
-                                  events, events_lock),
+                            args=(scenario, overlay, cache_root,
+                                  service.registry.model_key(spec, "BDT"),
+                                  injector, events, events_lock),
                             name="incident-ops",
                         )
                     )

@@ -1,9 +1,10 @@
 """Cached, parallel experiment pipeline runner.
 
-The substrate every figure/table build shares: a staged experiment
-runner (``workload → schedule → telemetry → dataset``) with a
-content-addressed on-disk artifact cache and multiprocessing fan-out
-over independent (system, seed) shards.
+The substrate every figure/table build shares: an experiment runner
+that times four steps (``workload → schedule → telemetry → dataset``)
+and caches one joined dataset per (system, seed) shard in a
+content-addressed on-disk artifact cache, with multiprocessing fan-out
+over independent shards.
 
 * :func:`build_dataset` — cached drop-in for
   :func:`repro.telemetry.generate_dataset` (one shard, returns the
@@ -23,8 +24,8 @@ Only the light bookkeeping surface (the cache and
 access via PEP 562, so ``python -m repro pipeline status``/``clean``
 never import numpy, scipy, or the simulation layers.
 
-See docs/PIPELINE.md for the stage graph, cache layout, invalidation
-keys, parallelism model, and manifest schema; the CLI surface is
+See docs/PIPELINE.md for the build steps, cache layout, dataset key,
+parallelism model, and manifest schema; the CLI surface is
 ``python -m repro pipeline run|run-all|status|clean``.
 """
 
@@ -41,8 +42,6 @@ from repro.pipeline.config import (
     CHUNK_STAGE,
     DEFAULT_CHUNK_JOBS,
     PLAN_STAGE,
-    STAGE_FIELDS,
-    STAGE_VERSIONS,
     STAGES,
     ShardConfig,
     ShardReport,
@@ -54,8 +53,6 @@ from repro.pipeline.config import (
 
 __all__ = [
     "STAGES",
-    "STAGE_FIELDS",
-    "STAGE_VERSIONS",
     "CHUNK_STAGE",
     "DEFAULT_CHUNK_JOBS",
     "MANIFEST_NAME",

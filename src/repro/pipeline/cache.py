@@ -1,13 +1,12 @@
 """Content-addressed on-disk artifact cache.
 
-Every pipeline stage output is stored under
-``<root>/<stage>/<sha256-key>/`` where the key hashes the *complete
-configuration the stage depends on* (see
-:func:`repro.pipeline.stages.stage_key`). An entry is a directory
-holding the payload (``payload.pkl`` for intermediate stages, the
-open-data NPZ/JSON artifact files for the final dataset stage) plus a
-``meta.json`` sidecar describing what it is and how long it took to
-build.
+Every cached output is stored under ``<root>/<stage>/<sha256-key>/``
+where the key hashes the *complete configuration the output depends on*
+(see :func:`repro.pipeline.config.stage_key`). An entry is a directory
+holding the payload (the open-data NPZ/JSON artifact files for a
+``dataset`` or streamed ``chunk``; ``payload.pkl`` for a pickled object
+such as a streaming ``plan`` or a served ``model``) plus a ``meta.json``
+sidecar describing what it is and how long it took to build.
 
 Commits are atomic: payloads are written into a temporary sibling
 directory and ``os.rename``-d into place, so concurrent workers racing

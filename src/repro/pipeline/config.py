@@ -1,39 +1,34 @@
-"""Stage graph, shard configuration, cache keys, and timing records.
+"""Shard configuration, the dataset key, and timing records.
 
 This module is deliberately light — it imports neither numpy nor any
 simulation layer — so the CLI's bookkeeping subcommands
 (``pipeline status`` / ``pipeline clean``) and the PEP 562 lazy package
 surface can load it without paying for scipy or the engine.
 
-The pipeline runs four stages per (system, seed) shard::
+A monolithic build runs four timed steps per (system, seed) shard and
+caches one entry, the joined ``dataset``::
 
     workload ──▶ schedule ──▶ telemetry ──▶ dataset
-    (job stream) (placements)  (RAPL samples) (joined artifact)
+    (job stream) (placements)  (RAPL samples) (joined artifact, cached)
 
-Each stage's cache key is a SHA-256 over the *subset* of the shard
-configuration that can change its output (``STAGE_FIELDS``) plus the
-stage-version counters of it and every upstream stage
-(``STAGE_VERSIONS`` — bump one when changing a stage's semantics to
-invalidate stale artifacts). Consequences:
-
-* changing ``max_traces`` re-runs only telemetry + dataset (the job
-  stream and placements are cache hits);
-* changing ``backfill_depth`` keeps the workload stage cached;
-* changing ``seed``, scale, or any workload knob misses everywhere.
+The dataset key (:func:`stage_key`) is a SHA-256 over every
+:class:`ShardConfig` field, so any configuration change rebuilds the
+whole shard. The streamed builder's ``plan`` and ``chunk`` entries are
+keyed through it (:func:`plan_key`, :func:`chunk_key`).
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field, fields
 from typing import Any
 
 from repro.errors import PipelineError
+from repro.obs.metrics import DEFAULT_SECONDS_BUCKETS, REGISTRY
 from repro.pipeline.cache import content_key
 
 __all__ = [
     "STAGES",
-    "STAGE_FIELDS",
-    "STAGE_VERSIONS",
     "PLAN_STAGE",
     "CHUNK_STAGE",
     "DEFAULT_CHUNK_JOBS",
@@ -45,13 +40,15 @@ __all__ = [
     "chunk_key",
 ]
 
+#: The timed steps of a monolithic build, in the order the run manifest
+#: records them; only the last one is cached.
 STAGES: tuple[str, ...] = ("workload", "schedule", "telemetry", "dataset")
 
 # Streaming-mode cache stages (docs/PIPELINE.md "Streaming mode"). The
 # plan stage holds the columnar workload plan; the chunk stage holds the
 # spilled per-chunk shards (jobs + power sums + samples + a resume
-# checkpoint). Both are addressed *through* the monolithic stage keys,
-# so any knob that would invalidate the dataset invalidates them too.
+# checkpoint). Both are keyed through the dataset key, so any knob that
+# would invalidate the dataset invalidates them too.
 PLAN_STAGE = "plan"
 CHUNK_STAGE = "chunk"
 
@@ -61,30 +58,30 @@ DEFAULT_CHUNK_JOBS = 100_000
 _PLAN_VERSION = 1
 _CHUNK_VERSION = 1
 
-# Bump a stage's version when its semantics change; every downstream key
-# incorporates the versions of its upstream stages too.
-STAGE_VERSIONS: dict[str, int] = {
-    "workload": 1,
-    "schedule": 1,
-    "telemetry": 1,
-    "dataset": 1,
+# The dataset key's payload, frozen: ScenarioSpec.dataset_digest is this
+# key, every /v1/predict response returns it, and the served-model keys
+# and lifecycle directories derive from it. Editing anything here, the
+# step version counters included (nothing else reads them), re-keys
+# every dataset and every served model.
+_DATASET_KEY_PAYLOAD = {
+    "format": 1,
+    "stage": "dataset",
+    "versions": {"workload": 1, "schedule": 1, "telemetry": 1, "dataset": 1},
 }
 
-_WORKLOAD_FIELDS = (
-    "system", "seed", "num_nodes", "num_users", "horizon_s", "params_overrides",
+# Pipeline observability (docs/OBSERVABILITY.md): per-step wall time and
+# execution counts, split by whether the step was a cache hit.
+_STAGE_SECONDS = REGISTRY.histogram(
+    "repro_pipeline_stage_seconds",
+    "Wall time of one pipeline stage execution (hit or build).",
+    buckets=DEFAULT_SECONDS_BUCKETS,
+    labelnames=("stage", "cached"),
 )
-_SCHEDULE_FIELDS = _WORKLOAD_FIELDS + ("backfill_depth",)
-_TELEMETRY_FIELDS = _SCHEDULE_FIELDS + ("variability_sigma", "max_traces")
-
-# Which ShardConfig fields feed each stage's cache key.
-STAGE_FIELDS: dict[str, tuple[str, ...]] = {
-    "workload": _WORKLOAD_FIELDS,
-    "schedule": _SCHEDULE_FIELDS,
-    "telemetry": _TELEMETRY_FIELDS,
-    "dataset": _TELEMETRY_FIELDS,
-}
-
-_CACHE_FORMAT = 1
+_STAGE_RUNS = REGISTRY.counter(
+    "repro_pipeline_stage_runs_total",
+    "Pipeline stage executions by stage and cache outcome.",
+    labelnames=("stage", "cached"),
+)
 
 
 @dataclass(frozen=True)
@@ -158,33 +155,28 @@ class ShardConfig:
 
 
 def stage_key(shard: ShardConfig, stage: str) -> str:
-    """Content-address of one stage's output for one shard."""
-    if stage not in STAGES:
-        raise PipelineError(f"unknown stage {stage!r}; known: {list(STAGES)}")
-    upstream = STAGES[: STAGES.index(stage) + 1]
-    config = shard.to_dict()
-    return content_key(
-        {
-            "format": _CACHE_FORMAT,
-            "stage": stage,
-            "versions": {s: STAGE_VERSIONS[s] for s in upstream},
-            "config": {f: config[f] for f in STAGE_FIELDS[stage]},
-        }
-    )
+    """Content-address of one shard's ``dataset`` entry.
+
+    ``dataset`` is the only stage a monolithic build caches; any other
+    name raises :class:`~repro.errors.PipelineError`.
+    """
+    if stage != "dataset":
+        raise PipelineError(f"only the dataset stage is keyed, not {stage!r}")
+    return content_key({**_DATASET_KEY_PAYLOAD, "config": shard.to_dict()})
 
 
 def plan_key(shard: ShardConfig) -> str:
     """Content-address of the columnar workload plan for one shard.
 
-    Derived from the workload stage key: the plan is just the columnar
-    form of the same job stream, so everything that invalidates the
-    workload invalidates the plan.
+    Derived from the dataset key, as :func:`chunk_key` is: a plan is
+    cheap to rebuild, so it is reused only by a run that would build the
+    identical dataset.
     """
     return content_key(
         {
             "stage": PLAN_STAGE,
             "version": _PLAN_VERSION,
-            "workload": stage_key(shard, "workload"),
+            "dataset": stage_key(shard, "dataset"),
         }
     )
 
@@ -207,6 +199,16 @@ def chunk_key(shard: ShardConfig, chunk_jobs: int, index: int) -> str:
     )
 
 
+def _rate(n: int, seconds: float) -> float | None:
+    """``n`` per second; ``None`` over zero seconds (JSON ``null``, never
+    ``Infinity``, which is not JSON)."""
+    return n / seconds if seconds > 0 else None
+
+
+def _rounded(rate: float | None) -> float | None:
+    return None if rate is None else round(rate, 3)
+
+
 @dataclass(frozen=True)
 class StageTiming:
     """Wall time and throughput of one stage execution (or cache load)."""
@@ -220,16 +222,16 @@ class StageTiming:
     n_gaps: int = 0  # dropped-then-gap-filled samples (telemetry stage)
 
     @property
-    def items_per_second(self) -> float:
-        """Job throughput counter recorded in the run manifest."""
-        return self.n_items / self.seconds if self.seconds > 0 else float("inf")
+    def items_per_second(self) -> float | None:
+        """Job throughput recorded in the run manifest."""
+        return _rate(self.n_items, self.seconds)
 
     @property
-    def traces_per_second(self) -> float:
+    def traces_per_second(self) -> float | None:
         """Trace throughput; 0.0 for stages that produce no traces."""
         if self.n_traces == 0:
             return 0.0
-        return self.n_traces / self.seconds if self.seconds > 0 else float("inf")
+        return _rate(self.n_traces, self.seconds)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -240,8 +242,8 @@ class StageTiming:
             "n_items": self.n_items,
             "n_traces": self.n_traces,
             "n_gaps": self.n_gaps,
-            "items_per_second": round(self.items_per_second, 3),
-            "traces_per_second": round(self.traces_per_second, 3),
+            "items_per_second": _rounded(self.items_per_second),
+            "traces_per_second": _rounded(self.traces_per_second),
         }
 
     @classmethod
@@ -265,13 +267,30 @@ class ShardReport:
     n_traces: int = 0
     dataset_key: str = ""
 
+    def record(
+        self, stage: str, key: str, t0: float, cached: bool, n_items: int,
+        n_traces: int = 0, n_gaps: int = 0,
+    ) -> None:
+        """Append one step's timing since ``t0`` (a ``time.perf_counter()``
+        reading) and observe it in the stage metrics."""
+        seconds = time.perf_counter() - t0
+        label = str(cached).lower()
+        _STAGE_SECONDS.observe(seconds, stage=stage, cached=label)
+        _STAGE_RUNS.inc(stage=stage, cached=label)
+        self.stages.append(
+            StageTiming(
+                stage=stage, key=key, seconds=seconds, cached=cached,
+                n_items=n_items, n_traces=n_traces, n_gaps=n_gaps,
+            )
+        )
+
     @property
     def n_gaps(self) -> int:
         """Dropped-then-gap-filled telemetry samples in this shard.
 
-        The telemetry and dataset stages both report the same artifact's
+        The telemetry and dataset steps both report the same artifact's
         gap count (so a dataset cache hit still surfaces it); ``max``
-        reads whichever stage ran without double counting.
+        reads whichever step ran without double counting.
         """
         return max((t.n_gaps for t in self.stages), default=0)
 
@@ -281,10 +300,9 @@ class ShardReport:
         return sum(t.seconds for t in self.stages)
 
     @property
-    def jobs_per_second(self) -> float:
+    def jobs_per_second(self) -> float | None:
         """End-to-end shard throughput (jobs over total stage wall time)."""
-        secs = self.seconds
-        return self.n_jobs / secs if secs > 0 else float("inf")
+        return _rate(self.n_jobs, self.seconds)
 
     @property
     def fully_cached(self) -> bool:
@@ -301,7 +319,7 @@ class ShardReport:
             "n_gaps": self.n_gaps,
             "dataset_key": self.dataset_key,
             "seconds": round(self.seconds, 4),
-            "jobs_per_second": round(self.jobs_per_second, 3),
+            "jobs_per_second": _rounded(self.jobs_per_second),
         }
 
     @classmethod

@@ -26,8 +26,8 @@ from repro.obs.metrics import DEFAULT_SECONDS_BUCKETS, REGISTRY, peak_rss_bytes
 from repro.obs.tracing import trace_span
 from repro.pipeline.artifacts import load_jobs
 from repro.pipeline.cache import ArtifactCache, canonical_json, default_cache_dir
-from repro.pipeline.config import DEFAULT_CHUNK_JOBS
-from repro.pipeline.stages import ShardConfig, ShardReport, run_shard
+from repro.pipeline.config import DEFAULT_CHUNK_JOBS, ShardConfig, ShardReport
+from repro.pipeline.stages import run_shard
 from repro.pipeline.stream import stream_shard
 from repro.telemetry.dataset import JobDataset
 
@@ -120,10 +120,16 @@ class RunManifest:
         )
 
     def save(self, path: str | os.PathLike) -> Path:
-        """Write the manifest as indented JSON; returns the path."""
+        """Write the manifest as indented JSON; returns the path.
+
+        Strict JSON: a non-finite number raises instead of being written
+        as ``Infinity``/``NaN``, which JSON parsers such as ``jq`` reject.
+        """
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True))
+        path.write_text(
+            json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False)
+        )
         return path
 
     @classmethod
@@ -181,11 +187,11 @@ def run_pipeline(
         Optional explicit path for the run manifest; a copy is always
         written to ``<cache_dir>/manifest-latest.json``.
     force:
-        Recompute every stage even on cache hits.
+        Rebuild every shard even on cache hits.
     stream:
         Build each shard through the bounded-memory streaming path
         (:func:`repro.pipeline.stream.stream_shard`) instead of the
-        monolithic stages. The committed artifacts are byte-identical.
+        monolithic build. The committed artifacts are byte-identical.
     chunk_jobs:
         Jobs per streaming chunk (ignored unless ``stream``).
 
@@ -284,7 +290,7 @@ def build_dataset(
 ) -> JobDataset:
     """Cached drop-in for :func:`repro.telemetry.generate_dataset`.
 
-    Same signature and byte-identical output, but every stage is served
+    Same signature and byte-identical output, but the dataset is served
     from (and committed to) the on-disk artifact cache, so a repeated
     call with the same configuration loads in milliseconds instead of
     re-running the simulation. ``cache_dir`` defaults to

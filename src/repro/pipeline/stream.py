@@ -66,7 +66,6 @@ from repro.pipeline.config import (
     PLAN_STAGE,
     ShardConfig,
     ShardReport,
-    StageTiming,
     chunk_key,
     plan_key,
     stage_key,
@@ -187,14 +186,8 @@ def _stream_shard(
     if not force and cache.has("dataset", dataset_key):
         t0 = time.perf_counter()
         meta = cache.load_meta("dataset", dataset_key)
-        report.stages.append(
-            StageTiming(
-                stage="dataset", key=dataset_key,
-                seconds=time.perf_counter() - t0, cached=True,
-                n_items=meta.get("n_jobs", 0), n_traces=meta.get("n_traces", 0),
-                n_gaps=meta.get("n_gaps", 0),
-            )
-        )
+        report.record("dataset", dataset_key, t0, True, meta.get("n_jobs", 0),
+                      meta.get("n_traces", 0), meta.get("n_gaps", 0))
         report.n_jobs = meta.get("n_jobs", 0)
         report.n_traces = meta.get("n_traces", 0)
         return report
@@ -220,12 +213,7 @@ def _stream_shard(
             PLAN_STAGE, pkey, plan, {**meta_common, "n_items": plan.n_jobs}, t0=t0
         )
         plan_cached = False
-    report.stages.append(
-        StageTiming(
-            stage=PLAN_STAGE, key=pkey, seconds=time.perf_counter() - t0,
-            cached=plan_cached, n_items=plan.n_jobs,
-        )
-    )
+    report.record(PLAN_STAGE, pkey, t0, plan_cached, plan.n_jobs)
     if plan.n_jobs == 0:
         raise PipelineError(f"{shard.label}: workload plan has no jobs")
 
@@ -239,16 +227,11 @@ def _stream_shard(
             done += 1
     chunk_metas: list[dict] = []
     for i in range(done):
+        t0 = time.perf_counter()
         meta = cache.load_meta(CHUNK_STAGE, keys[i])
         chunk_metas.append(meta)
-        report.stages.append(
-            StageTiming(
-                stage=CHUNK_STAGE, key=keys[i], seconds=0.0, cached=True,
-                n_items=meta.get("n_items", 0),
-                n_traces=meta.get("n_traces", 0),
-                n_gaps=meta.get("n_gaps", 0),
-            )
-        )
+        report.record(CHUNK_STAGE, keys[i], t0, True, meta.get("n_items", 0),
+                      meta.get("n_traces", 0), meta.get("n_gaps", 0))
         _CHUNKS.inc(outcome="cached")
 
     sim = Simulator(
@@ -329,14 +312,8 @@ def _stream_shard(
             chunk_metas.append(meta)
             if span is not None:
                 span.set(n_items=len(harvest), n_traces=len(sample.traces))
-        report.stages.append(
-            StageTiming(
-                stage=CHUNK_STAGE, key=keys[i],
-                seconds=time.perf_counter() - t0, cached=False,
-                n_items=len(harvest), n_traces=len(sample.traces),
-                n_gaps=sample.n_gaps,
-            )
-        )
+        report.record(CHUNK_STAGE, keys[i], t0, False, len(harvest),
+                      len(sample.traces), sample.n_gaps)
         _CHUNKS.inc(outcome="built")
         _PEAK_RSS.set(peak_rss_bytes())
 
@@ -374,13 +351,7 @@ def _stream_shard(
         )
     _COMPACTED.inc(chunks.n_chunks)
     _PEAK_RSS.set(peak_rss_bytes())
-    report.stages.append(
-        StageTiming(
-            stage="dataset", key=dataset_key,
-            seconds=time.perf_counter() - t0, cached=False,
-            n_items=n_jobs, n_traces=n_traces, n_gaps=n_gaps,
-        )
-    )
+    report.record("dataset", dataset_key, t0, False, n_jobs, n_traces, n_gaps)
     report.n_jobs = n_jobs
     report.n_traces = n_traces
 

@@ -70,8 +70,8 @@ __all__ = [
 MODEL_STAGE = "model"
 
 # Bump a model's version to invalidate its cached fitted artifacts when
-# training semantics or the fitted state change (mirrors pipeline
-# STAGE_VERSIONS). KNN 2: fit keeps the scaled training terms.
+# training semantics or the fitted state change. KNN 2: fit keeps the
+# scaled training terms.
 _MODEL_VERSIONS: dict[str, int] = {
     "BDT": 1,
     "KNN": 2,
@@ -580,7 +580,7 @@ class ModelRegistry:
             try:
                 return build_jobs(**spec.dataset_kwargs(), cache_dir=self.cache.root)
             except CacheError:
-                # The staged cache is unusable (disk trouble, injected
+                # The artifact cache is unusable (disk trouble, injected
                 # cache faults): fall back to the in-memory pipeline,
                 # which builds the byte-identical dataset cache-free.
                 with self._lock:

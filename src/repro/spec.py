@@ -146,8 +146,8 @@ class ScenarioSpec:
         Identical to the pipeline cache key of the ``dataset`` stage, so
         a served model and a cached dataset built from the same scenario
         share one identity. Computed once per spec: the key depends only
-        on the frozen fields and the module's stage versions, and a
-        served request reads it several times.
+        on the frozen fields, and a served request reads it several
+        times.
         """
         from repro.pipeline.config import stage_key
 

@@ -11,8 +11,9 @@ a :class:`JobDataset` holding
 * per-minute system timelines of active nodes and drawn power, feeding
   the Fig 1 / Fig 2 analyses.
 
-The pipeline is factored into the four stages :mod:`repro.pipeline`
-caches independently (see docs/PIPELINE.md):
+The pipeline is factored into the four steps :mod:`repro.pipeline`
+times (it caches only the last one's joined artifact; see
+docs/PIPELINE.md):
 
 1. **workload** — :func:`build_inputs` + :meth:`WorkloadGenerator.generate`
 2. **schedule** — :func:`repro.scheduler.simulate`
@@ -145,13 +146,11 @@ class TelemetrySample:
     is_debug: np.ndarray  # bool: debug / pre-post-processing job
     traces: dict[int, JobPowerTrace]
     trace_allocations: dict[int, np.ndarray]
-    # Samples the monitor dropped (faults, outages) and the stage had to
-    # gap-fill with the deterministic noise-free level. Older cached
-    # pickles lack the field — read it as ``getattr(s, "n_gaps", 0)``.
+    # Samples the monitor dropped (faults, outages) and the step had to
+    # gap-fill with the deterministic noise-free level.
     n_gaps: int = 0
     # GPU-side measurements (repro.telemetry.sampler.GpuSampler), only
-    # on systems with accelerators; None elsewhere — and on older
-    # cached pickles, which resolve these through the class defaults.
+    # on systems with accelerators; None elsewhere.
     gpu_power: np.ndarray | None = None  # summed board watts per job
     gpu_count: np.ndarray | None = None  # allocated boards per job
 
@@ -182,7 +181,7 @@ def build_inputs(
     """Construct the (cluster, workload params) pair the pipeline shares.
 
     Every stage of the pipeline derives from these two objects plus the
-    seed; factoring their construction out guarantees the staged runner
+    seed; factoring their construction out guarantees the cached runner
     (:mod:`repro.pipeline`) and the one-shot :func:`generate_dataset`
     build byte-identical datasets for the same configuration.
     """
@@ -231,7 +230,7 @@ def generate_dataset(
 
     .. note::
        :func:`repro.pipeline.build_dataset` is a drop-in replacement that
-       caches each stage on disk, so repeated builds of the same
+       caches the joined dataset on disk, so repeated builds of the same
        configuration are near-instant.
     """
     cluster, params = build_inputs(
@@ -295,7 +294,7 @@ def join_jobs(scheduled: list[ScheduledJob], sample: TelemetrySample) -> Table:
     )
     jobs = jobs.with_column("is_debug", sample.is_debug)
     jobs = jobs.with_column("instrumented", sample.instrumented)
-    gpu_power = getattr(sample, "gpu_power", None)
+    gpu_power = sample.gpu_power
     if gpu_power is not None:
         jobs = jobs.with_column("gpus", sample.gpu_count.astype(np.int64))
         jobs = jobs.with_column("gpu_power_w", gpu_power)

@@ -180,7 +180,7 @@ def fig13(dataset: JobDataset, cluster_by: str = "nodes") -> str:
 
 
 def fig14(dataset: JobDataset, n_repeats: int = 3) -> str:
-    results = run_prediction(dataset, n_repeats=n_repeats)
+    results = run_prediction(dataset.jobs, n_repeats=n_repeats)
     chart = Chart(
         title=f"Fig 14 — prediction error CDFs ({dataset.spec.name})",
         xlabel="absolute prediction error", ylabel="fraction of predictions",
@@ -196,7 +196,7 @@ def fig15(dataset: JobDataset, n_repeats: int = 3) -> str:
     from repro.ml import default_models
 
     results = run_prediction(
-        dataset, models={"BDT": default_models()["BDT"]}, n_repeats=n_repeats
+        dataset.jobs, models={"BDT": default_models()["BDT"]}, n_repeats=n_repeats
     )
     _, mean_errors = results["BDT"].per_user_mean_error()
     chart = Chart(

@@ -150,7 +150,7 @@ class TestUserLevel:
 
 class TestPrediction:
     def test_run_prediction(self, emmy_small):
-        results = analysis.run_prediction(emmy_small, n_repeats=2, seed=0)
+        results = analysis.run_prediction(emmy_small.jobs, n_repeats=2, seed=0)
         assert set(results) == {"BDT", "KNN", "FLDA"}
         for r in results.values():
             assert 0 <= r.summary.frac_below_10pct <= 1
@@ -161,11 +161,8 @@ class TestPrediction:
         )
 
     def test_rejects_tiny_dataset(self, emmy_small):
-        import dataclasses
-
-        tiny = dataclasses.replace(emmy_small, jobs=emmy_small.jobs.head(10))
         with pytest.raises(AnalysisError):
-            analysis.run_prediction(tiny)
+            analysis.run_prediction(emmy_small.jobs.head(10))
 
 
 class TestReport:

@@ -110,8 +110,8 @@ def test_dataset_fallback_is_byte_identical(tmp_path, faults_cache, tiny_spec,
 
 def test_injected_read_fault_raises_cache_error_at_the_cache_layer(tmp_path):
     cache = ArtifactCache(tmp_path)
-    cache.store_pickle("workload", "k" * 64, [1, 2, 3], {"n_items": 3})
+    cache.store_pickle("model", "k" * 64, [1, 2, 3], {"n_items": 3})
     with arm(_plan("cache.read", rate=1.0)):
         with pytest.raises(CacheError, match="injected fault: cache.read"):
-            cache.load_pickle("workload", "k" * 64)
-    assert cache.load_pickle("workload", "k" * 64) == [1, 2, 3]  # cleared
+            cache.load_pickle("model", "k" * 64)
+    assert cache.load_pickle("model", "k" * 64) == [1, 2, 3]  # cleared

@@ -89,7 +89,7 @@ class TestHierarchicalRule:
         from repro.ml import DecisionTreeRegressor
 
         results = run_prediction(
-            emmy_small,
+            emmy_small.jobs,
             models={
                 "BDT": lambda: DecisionTreeRegressor(min_samples_leaf=1),
                 "rule": HierarchicalRuleBaseline,

@@ -52,6 +52,18 @@ class TestManifestThroughput:
         assert timing.n_traces == 0
         assert timing.items_per_second == 10.0
 
+    def test_rates_over_zero_seconds_are_null(self):
+        from repro.pipeline import ShardReport
+
+        timing = StageTiming(stage="chunk", key="k", seconds=0.0, cached=True,
+                             n_items=10, n_traces=2)
+        report = ShardReport(config=ShardConfig("emmy"), stages=[timing], n_jobs=10)
+        data = report.to_dict()
+        assert data["jobs_per_second"] is None
+        assert data["stages"][0]["items_per_second"] is None
+        assert data["stages"][0]["traces_per_second"] is None
+        json.dumps(data, allow_nan=False)
+
     def test_stage_meta_records_build_seconds(self, tmp_path):
         from repro.pipeline import ArtifactCache
 

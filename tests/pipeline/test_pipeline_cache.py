@@ -5,7 +5,6 @@ import pytest
 
 from repro.errors import CacheError, PipelineError
 from repro.pipeline import (
-    STAGES,
     ArtifactCache,
     ShardConfig,
     canonical_json,
@@ -16,8 +15,8 @@ from repro.pipeline import (
 TINY = dict(num_nodes=16, num_users=8, horizon_s=2 * 86400, max_traces=5)
 
 
-def keys_for(shard: ShardConfig) -> dict[str, str]:
-    return {stage: stage_key(shard, stage) for stage in STAGES}
+def dataset_key(shard: ShardConfig) -> str:
+    return stage_key(shard, "dataset")
 
 
 class TestContentKey:
@@ -54,64 +53,61 @@ class TestShardConfig:
 
 
 class TestKeySelectivity:
-    """Which config changes invalidate which stages (STAGE_FIELDS contract)."""
+    """The dataset key, the one a build caches, hashes every ShardConfig field."""
+
+    def test_dataset_key_is_pinned(self):
+        # ScenarioSpec("emmy", seed=7).dataset_digest: every /v1/predict
+        # response returns it and the served-model keys derive from it.
+        assert stage_key(ShardConfig("emmy", seed=7), "dataset") == (
+            "09e67f774c41e8d3f076078a38387722ac0b3527fa6f5fab2e1138bf8db0d38e"
+        )
 
     def test_same_config_same_keys(self):
-        assert keys_for(ShardConfig("emmy", seed=1, **TINY)) == keys_for(
+        assert dataset_key(ShardConfig("emmy", seed=1, **TINY)) == dataset_key(
             ShardConfig("emmy", seed=1, **TINY)
         )
 
     def test_seed_invalidates_everything(self):
-        a, b = keys_for(ShardConfig("emmy", seed=1, **TINY)), keys_for(
+        assert dataset_key(ShardConfig("emmy", seed=1, **TINY)) != dataset_key(
             ShardConfig("emmy", seed=2, **TINY)
         )
-        assert all(a[s] != b[s] for s in STAGES)
 
-    def test_max_traces_keeps_workload_and_schedule(self):
-        base = dict(TINY)
-        a = keys_for(ShardConfig("emmy", seed=1, **base))
-        base["max_traces"] = 9
-        b = keys_for(ShardConfig("emmy", seed=1, **base))
-        assert a["workload"] == b["workload"]
-        assert a["schedule"] == b["schedule"]
-        assert a["telemetry"] != b["telemetry"]
-        assert a["dataset"] != b["dataset"]
+    def test_max_traces_changes_the_key(self):
+        base = dataset_key(ShardConfig("emmy", seed=1, **TINY))
+        assert dataset_key(ShardConfig("emmy", seed=1, **dict(TINY, max_traces=9))) != base
 
-    def test_backfill_depth_keeps_workload_only(self):
-        a = keys_for(ShardConfig("emmy", seed=1, **TINY))
-        b = keys_for(ShardConfig("emmy", seed=1, backfill_depth=7, **TINY))
-        assert a["workload"] == b["workload"]
-        assert a["schedule"] != b["schedule"]
-        assert a["telemetry"] != b["telemetry"]
-        assert a["dataset"] != b["dataset"]
+    def test_backfill_depth_changes_the_key(self):
+        base = dataset_key(ShardConfig("emmy", seed=1, **TINY))
+        assert dataset_key(ShardConfig("emmy", seed=1, backfill_depth=7, **TINY)) != base
 
-    def test_variability_sigma_keeps_schedule(self):
-        a = keys_for(ShardConfig("emmy", seed=1, **TINY))
-        b = keys_for(ShardConfig("emmy", seed=1, variability_sigma=0.0, **TINY))
-        assert a["schedule"] == b["schedule"]
-        assert a["telemetry"] != b["telemetry"]
+    def test_variability_sigma_changes_the_key(self):
+        base = dataset_key(ShardConfig("emmy", seed=1, **TINY))
+        assert dataset_key(
+            ShardConfig("emmy", seed=1, variability_sigma=0.0, **TINY)
+        ) != base
 
     def test_unknown_stage_rejected(self):
-        with pytest.raises(PipelineError):
-            stage_key(ShardConfig("emmy"), "render")
+        for stage in ("render", "workload", "schedule", "telemetry"):
+            with pytest.raises(PipelineError):
+                stage_key(ShardConfig("emmy"), stage)
 
 
 class TestArtifactCache:
     def test_pickle_round_trip(self, tmp_path):
         cache = ArtifactCache(tmp_path)
         key = content_key({"k": 1})
-        assert not cache.has("workload", key)
-        cache.store_pickle("workload", key, [1, 2, 3], {"n_items": 3})
-        assert cache.has("workload", key)
-        assert cache.load_pickle("workload", key) == [1, 2, 3]
-        assert cache.load_meta("workload", key)["n_items"] == 3
+        assert not cache.has("model", key)
+        cache.store_pickle("model", key, [1, 2, 3], {"n_items": 3})
+        assert cache.has("model", key)
+        assert cache.load_pickle("model", key) == [1, 2, 3]
+        assert cache.load_meta("model", key)["n_items"] == 3
 
     def test_missing_entry_raises(self, tmp_path):
         cache = ArtifactCache(tmp_path)
         with pytest.raises(CacheError):
-            cache.load_pickle("workload", "0" * 64)
+            cache.load_pickle("model", "0" * 64)
         with pytest.raises(CacheError):
-            cache.load_meta("workload", "0" * 64)
+            cache.load_meta("model", "0" * 64)
 
     def test_store_tree_merges_build_meta(self, tmp_path):
         cache = ArtifactCache(tmp_path)
@@ -129,11 +125,11 @@ class TestArtifactCache:
     def test_entries_sorted_and_filtered(self, tmp_path):
         cache = ArtifactCache(tmp_path)
         for i in range(3):
-            cache.store_pickle("workload", content_key({"i": i}), i, {})
-        cache.store_pickle("schedule", content_key({"i": 0}), 0, {})
+            cache.store_pickle("model", content_key({"i": i}), i, {})
+        cache.store_pickle("plan", content_key({"i": 0}), 0, {})
         assert len(cache.entries()) == 4
-        assert len(cache.entries("workload")) == 3
-        keys = [e.key for e in cache.entries("workload")]
+        assert len(cache.entries("model")) == 3
+        keys = [e.key for e in cache.entries("model")]
         assert keys == sorted(keys)
 
     def test_remove_filters_by_stage_system_seed(self, tmp_path):
@@ -141,11 +137,11 @@ class TestArtifactCache:
         for system in ("emmy", "meggie"):
             for seed in (1, 2):
                 meta = {"config": {"system": system, "seed": seed}}
-                cache.store_pickle("workload", content_key({"s": system, "n": seed}), 0, meta)
-                cache.store_pickle("schedule", content_key({"s": system, "n": seed}), 0, meta)
-        assert cache.remove(stage="workload", system="emmy") == 2
-        assert len(cache.entries("workload")) == 2  # meggie survives
-        assert len(cache.entries("schedule")) == 4  # other stage untouched
+                cache.store_pickle("model", content_key({"s": system, "n": seed}), 0, meta)
+                cache.store_pickle("plan", content_key({"s": system, "n": seed}), 0, meta)
+        assert cache.remove(stage="model", system="emmy") == 2
+        assert len(cache.entries("model")) == 2  # meggie survives
+        assert len(cache.entries("plan")) == 4  # other stage untouched
         assert cache.remove(seed=1) == 3
         assert cache.remove() == 3  # no filters: everything left
         assert cache.entries() == []
@@ -153,5 +149,5 @@ class TestArtifactCache:
     def test_size_bytes_counts_committed_files(self, tmp_path):
         cache = ArtifactCache(tmp_path)
         assert cache.size_bytes() == 0
-        cache.store_pickle("workload", content_key({"z": 1}), list(range(100)), {})
+        cache.store_pickle("model", content_key({"z": 1}), list(range(100)), {})
         assert cache.size_bytes() > 0

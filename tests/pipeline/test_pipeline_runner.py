@@ -54,17 +54,6 @@ class TestBuildDataset:
         warm = build_dataset("emmy", seed=1, cache_dir=tmp_path, **TINY)
         assert_datasets_identical(direct, warm)
 
-    def test_partial_invalidation_reuses_schedule(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        build_dataset("emmy", seed=1, cache_dir=tmp_path, **TINY)
-        changed = dict(TINY, max_traces=3)
-        build_dataset("emmy", seed=1, cache_dir=tmp_path, **changed)
-        # workload/schedule shared; telemetry/dataset exist for both.
-        assert len(cache.entries("workload")) == 1
-        assert len(cache.entries("schedule")) == 1
-        assert len(cache.entries("telemetry")) == 2
-        assert len(cache.entries("dataset")) == 2
-
 
 def assert_tables_identical(a, b) -> None:
     """Same columns in the same order, same dtypes, bitwise-equal values."""
@@ -142,6 +131,30 @@ class TestRunPipeline:
             "workload", "schedule", "telemetry", "dataset",
         ]
         assert all(t.n_items > 0 for t in report.stages)
+
+    def test_cold_build_commits_only_the_dataset(self, tmp_path, monkeypatch):
+        pickled = []
+        monkeypatch.setattr(
+            ArtifactCache, "store_pickle",
+            lambda self, stage, *args, **kwargs: pickled.append(stage),
+        )
+        shard = SHARDS[0]
+        key = stage_key(shard, "dataset")
+        cold = run_pipeline([shard], cache_dir=tmp_path)
+        assert pickled == []
+        # tmp/ is the commit staging area, empty after the rename.
+        stage_dirs = {p.name for p in tmp_path.iterdir() if p.is_dir()} - {"tmp"}
+        assert stage_dirs == {"dataset"}
+        (report,) = cold.shards
+        assert [(t.stage, t.key, t.cached) for t in report.stages] == [
+            (stage, key, False)
+            for stage in ("workload", "schedule", "telemetry", "dataset")
+        ]
+        assert cold.stages_cached == 0
+        (warm,) = run_pipeline([shard], cache_dir=tmp_path).shards
+        assert [(t.stage, t.key, t.cached) for t in warm.stages] == [
+            ("dataset", key, True)
+        ]
 
     def test_shards_deduplicated_and_dicts_accepted(self, tmp_path):
         manifest = run_pipeline(

@@ -11,7 +11,9 @@ cleanup.
 """
 
 import hashlib
+import json
 import pickle
+import shutil
 import time
 import tracemalloc
 import types
@@ -26,11 +28,13 @@ import repro.pipeline.stages as stages_mod
 import repro.pipeline.stream as stream_mod
 from repro.errors import PipelineError, SchedulerError
 from repro.frames import read_npz
-from repro.obs.metrics import peak_rss_bytes
+from repro.obs.metrics import REGISTRY, peak_rss_bytes
 from repro.pipeline import (
+    MANIFEST_NAME,
     PLAN_STAGE,
     ArtifactCache,
     ChunkPlan,
+    RunManifest,
     ShardConfig,
     chunk_key,
     plan_key,
@@ -299,6 +303,42 @@ class TestResume:
         run_shard(shard, ref, want_dataset=False)
         assert _artifact_digest(cache, shard) == _artifact_digest(ref, shard)
 
+    def test_resumed_run_writes_a_strict_json_manifest(self, tmp_path):
+        shard = _shard(5)
+        cache = ArtifactCache(tmp_path)
+        stream_shard(shard, cache, chunk_jobs=50, keep_shards=True)
+        shutil.rmtree(cache.entry_dir("dataset", stage_key(shard, "dataset")))
+        run_pipeline([shard], cache_dir=tmp_path, stream=True, chunk_jobs=50)
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        text = (tmp_path / MANIFEST_NAME).read_text()
+        data = json.loads(text, parse_constant=reject)
+        chunks = [t for t in data["shards"][0]["stages"] if t["stage"] == "chunk"]
+        assert len(chunks) > 1 and all(t["cached"] for t in chunks)
+        assert RunManifest.load(tmp_path / MANIFEST_NAME).to_dict() == data
+
+
+class TestStageMetrics:
+    def test_streamed_build_observes_every_step(self, tmp_path):
+        shard = _shard(7)
+        cluster, params = build_inputs("emmy", seed=7, **TINY_BUILD)
+        n_jobs = WorkloadGenerator(params, cluster.num_nodes, seed=7).generate_plan().n_jobs
+        chunk_jobs = -(-n_jobs // 3)
+        assert ChunkPlan(n_jobs, chunk_jobs).n_chunks == 3
+        runs = REGISTRY.get("repro_pipeline_stage_runs_total")
+        seconds = REGISTRY.get("repro_pipeline_stage_seconds")
+
+        def observed():
+            return (runs.value(stage="chunk", cached="false"),
+                    seconds.count(stage="dataset", cached="false"))
+
+        before = observed()
+        stream_shard(shard, ArtifactCache(tmp_path), chunk_jobs=chunk_jobs)
+        after = observed()
+        assert (after[0] - before[0], after[1] - before[1]) == (3, 1)
+
 
 class TestOrphanCleanup:
     def test_kept_shards_become_orphans_once_dataset_commits(self, tmp_path):
@@ -362,8 +402,7 @@ class TestPeakRss:
         shard = _shard(3)
         cache = ArtifactCache(tmp_path)
         run_shard(shard, cache, want_dataset=False)
-        for stage in ("workload", "schedule", "telemetry", "dataset"):
-            assert cache.load_meta(stage, stage_key(shard, stage))["peak_rss_bytes"] > 0
+        assert cache.load_meta("dataset", stage_key(shard, "dataset"))["peak_rss_bytes"] > 0
 
 
 def _slowed(fn, seconds: float):
@@ -405,10 +444,6 @@ class TestSidecarTiming:
         slow_pickle.dump = _slowed(pickle.dump, 0.3)
         monkeypatch.setattr(cache_mod, "pickle", slow_pickle)
         shard = _shard(3)
-        mono = ArtifactCache(tmp_path / "mono")
-        run_shard(shard, mono, want_dataset=False)
-        for stage in ("workload", "schedule", "telemetry"):
-            assert mono.load_meta(stage, stage_key(shard, stage))["seconds"] >= 0.3
         streamed = ArtifactCache(tmp_path / "streamed")
         stream_shard(shard, streamed, chunk_jobs=50)
         assert streamed.load_meta(PLAN_STAGE, plan_key(shard))["seconds"] >= 0.3

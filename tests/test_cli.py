@@ -114,14 +114,14 @@ class TestPipelineCommands:
 
         assert main(["pipeline", "status", *cache]) == 0
         out = capsys.readouterr().out
-        assert "workload" in out and "dataset" in out
+        assert "dataset" in out
         assert "[emmy]" in out  # each entry names its system
 
-        # Targeted clean: only the matching stage goes away.
-        assert main(["pipeline", "clean", "--stage", "workload", *cache]) == 0
+        # Targeted clean: the build's one cached stage goes away.
+        assert main(["pipeline", "clean", "--stage", "dataset", *cache]) == 0
         assert main(["pipeline", "status", *cache]) == 0
         out = capsys.readouterr().out
-        assert "workload" not in out and "dataset" in out
+        assert "dataset" not in out and "(empty)" in out
 
     def test_status_and_clean_handle_damaged_entries(self, tmp_path, capsys):
         """Truncated or missing meta sidecars must not crash bookkeeping."""

@@ -64,7 +64,7 @@ class TestPipelineShape:
         assert cluster_cov < 0.6 * user_cov
 
     def test_rq9_prediction_quality(self, emmy_small):
-        results = analysis.run_prediction(emmy_small, n_repeats=2, seed=1)
+        results = analysis.run_prediction(emmy_small.jobs, n_repeats=2, seed=1)
         bdt = results["BDT"].summary
         assert bdt.frac_below_10pct > 0.5
         assert (

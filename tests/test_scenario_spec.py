@@ -225,3 +225,21 @@ def test_facade_evaluate_smoke(tmp_path):
     assert set(results) >= {"BDT", "KNN", "FLDA"}
     for result in results.values():
         assert 0.0 <= result.summary.frac_below_10pct <= 1.0
+
+
+def test_facade_evaluate_reads_only_the_job_table(tmp_path, monkeypatch):
+    import repro
+    import repro.pipeline.artifacts as artifacts
+
+    spec = ScenarioSpec("emmy", seed=3, num_nodes=24, num_users=10,
+                        horizon_days=2, max_traces=10)
+    plain = repro.evaluate(spec, n_repeats=1, cache_dir=tmp_path)
+
+    def no_samples(*args, **kwargs):
+        raise AssertionError("evaluate reloaded the samples")
+
+    monkeypatch.setattr(artifacts, "load_traces", no_samples)
+    warm = repro.evaluate(spec, n_repeats=1, cache_dir=tmp_path)
+    assert list(warm) == list(plain)
+    for name, result in plain.items():
+        np.testing.assert_array_equal(warm[name].errors, result.errors)

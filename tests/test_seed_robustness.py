@@ -62,7 +62,7 @@ def test_concentration_band(sweep):
 
 def test_prediction_band(sweep):
     for ds in sweep:
-        results = repro.run_prediction(ds, n_repeats=2, seed=0)
+        results = repro.run_prediction(ds.jobs, n_repeats=2, seed=0)
         # Class density grows with trace length; at quarter scale the
         # BDT sits lower than the full-scale ~0.93 (see EXPERIMENTS.md).
         assert results["BDT"].summary.frac_below_10pct > 0.70

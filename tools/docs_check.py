@@ -18,7 +18,9 @@ by docs/LIFECYCLE.md; that the incident-benchmark surface
 (``repro.incidents.__all__``) is covered by docs/INCIDENTS.md; and that
 the heterogeneous-scenario catalog (every registered system, every
 evaluation track, every exit-code constant) is covered by
-docs/SCENARIOS.md. Finally, README.md and docs/*.md may name only HTTP
+docs/SCENARIOS.md; and that the metric catalog in docs/OBSERVABILITY.md
+has one row, with the right kind, for each ``repro_…`` family the source
+registers and no other. Finally, README.md and docs/*.md may name only HTTP
 routes the server serves (the route table in ``repro.serve.http``), and
 they and the verify skill may name only ``tools/*.py`` scripts that
 exist, ``make`` targets the Makefile defines and baseline or scorecard
@@ -56,6 +58,10 @@ _TOOL = re.compile(r"tools/(\w+\.py)")
 _MAKE = re.compile(r"\bmake\s+([\w-]+)")
 #: A committed baseline or scorecard name (or glob) at the repository root.
 _ROOT_JSON = re.compile(r"\b((?:BENCH|SCORECARD)_[\w*]+\.json)")
+#: A metric family registration, e.g. ``REGISTRY.counter(\n    "repro_x"``.
+_METRIC_REGISTRATION = re.compile(r"\.(counter|gauge|histogram)\(\s*\"(repro_\w+)\"")
+#: A metric catalog row: ``| `repro_x{labels}` | kind | ...``.
+_METRIC_ROW = re.compile(r"^\|\s*`(repro_\w+)(?:\{[^}]*\})?`\s*\|\s*(\w+)\s*\|", re.M)
 
 
 def check_docstrings(module_name: str) -> list[str]:
@@ -183,6 +189,35 @@ def check_scenarios_doc() -> list[str]:
     return missing
 
 
+def check_metrics_doc() -> list[str]:
+    """The metric catalog in docs/OBSERVABILITY.md against the source.
+
+    Scans ``src/repro`` statically for ``.counter(``, ``.gauge(`` and
+    ``.histogram(`` registrations of a ``repro_…`` family (through
+    ``REGISTRY`` or any other registry). Every registered family needs a
+    catalog row that gives its kind, and every row must name a
+    registered family.
+    """
+    if not OBS_DOC.is_file():
+        return ["docs/OBSERVABILITY.md is missing entirely"]
+    registered = {
+        name: kind
+        for path in sorted(PACKAGE_ROOT.rglob("*.py"))
+        for kind, name in _METRIC_REGISTRATION.findall(path.read_text())
+    }
+    rows = dict(_METRIC_ROW.findall(OBS_DOC.read_text()))
+    problems = [
+        f"{name} ({kind}) has no catalog row"
+        for name, kind in sorted(registered.items()) if name not in rows
+    ]
+    for name, kind in sorted(rows.items()):
+        if name not in registered:
+            problems.append(f"{name} has a catalog row but is never registered")
+        elif kind != registered[name]:
+            problems.append(f"{name} is a {registered[name]}, the catalog says {kind}")
+    return problems
+
+
 def check_routes() -> list[str]:
     """HTTP routes that README.md or docs/*.md name but nobody serves.
 
@@ -275,6 +310,8 @@ def main() -> int:
         problems.append(f"absent from docs/INCIDENTS.md: repro.incidents.{name}")
     for name in check_scenarios_doc():
         problems.append(f"absent from docs/SCENARIOS.md: {name}")
+    for problem in check_metrics_doc():
+        problems.append(f"metric catalog: {problem}")
     for problem in check_routes():
         problems.append(f"route not served: {problem}")
     for problem in check_tools():

@@ -139,27 +139,26 @@ def smoke_stream(out: Path, check: Check, args: argparse.Namespace) -> None:
 def _grade_tracks(cache_dir: Path) -> dict:
     """Both heterogeneous tracks on the cached GPU dataset."""
     from repro.analysis import run_failure_classification, run_gpu_prediction
-    from repro.pipeline import build_dataset
+    from repro.pipeline import build_jobs
 
     shard = GPU_SHARD
-    dataset = build_dataset(
+    jobs = build_jobs(
         system=shard["system"], seed=shard["seed"],
         num_users=shard["num_users"],
         horizon_s=int(shard["horizon_days"] * 86400),
         max_traces=shard["max_traces"], cache_dir=cache_dir,
     )
-    jobs = dataset.jobs
     report = {
-        "n_jobs": dataset.num_jobs,
+        "n_jobs": len(jobs),
         "n_gpu_jobs": int((jobs["gpus"] > 0).sum()),
         "failure_rate": round(float(jobs["failed"].astype(float).mean()), 6),
         "tracks": {},
     }
     seed = shard["seed"]
     for track, results in (
-        ("gpu_power", run_gpu_prediction(dataset, n_repeats=GPU_REPEATS, seed=seed)),
+        ("gpu_power", run_gpu_prediction(jobs, n_repeats=GPU_REPEATS, seed=seed)),
         ("failures", run_failure_classification(
-            dataset, n_repeats=GPU_REPEATS, seed=seed)),
+            jobs, n_repeats=GPU_REPEATS, seed=seed)),
     ):
         report["tracks"][track] = {
             name: {"mean_err": round(float(r.summary.mean), 6),
