@@ -29,10 +29,12 @@ The package has four layers:
 
 The canonical scenario description is :class:`repro.ScenarioSpec` — one
 frozen object (system, seed, scale, horizon) shared by the CLI flags,
-the pipeline's shard configs, the serving registry, and the facade
-(:func:`repro.generate_dataset` / :func:`repro.evaluate` /
-:func:`repro.create_server`). Legacy keyword call-sites keep working
-through the :func:`repro.spec.as_scenario` shim.
+the pipeline's shard configs, the serving registry, and the top-level
+entry points (:func:`repro.generate_dataset` / :func:`repro.evaluate` /
+:func:`repro.create_server`). The first two also accept the legacy
+keyword style through the :func:`repro.spec.as_scenario` shim;
+:func:`repro.create_server` is :func:`repro.serve.create_server` and
+takes a ``ScenarioSpec``.
 
 Every public symbol resolves lazily (PEP 562): ``import repro`` is
 near-free, and each name pays only for the layer it lives in on first
@@ -125,7 +127,7 @@ _LAZY_ATTRS = {
     "as_scenario": "repro.spec",
     "generate_dataset": "repro.facade",
     "evaluate": "repro.facade",
-    "create_server": "repro.facade",
+    "create_server": "repro.serve.http",
     # pipeline
     "ArtifactCache": "repro.pipeline",
     "RunManifest": "repro.pipeline",

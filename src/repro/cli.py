@@ -121,7 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="artifact cache for datasets and trained models")
     srv.add_argument("--fault-plan", type=Path, default=None,
                      help="arm a FaultPlan JSON (docs/FAULTS.md) for the "
-                     "whole serve lifetime — chaos testing only")
+                     "whole serve lifetime — chaos testing, in-process "
+                     "(--workers 1) only")
     srv.add_argument("--trace-file", type=Path, default=None,
                      help="append trace spans (JSONL) here for the whole "
                      "serve lifetime (docs/OBSERVABILITY.md)")
@@ -472,6 +473,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.serve import create_server
 
+    if args.fault_plan is not None and args.workers > 1:
+        # The plan arms this process; spawned workers would never see it.
+        print("error: --fault-plan arms the in-process server only; "
+              "run it with --workers 1", file=sys.stderr)
+        return 2
     if args.trace_file is not None:
         from repro.obs.tracing import configure_tracing
 
@@ -490,7 +496,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.workers > 1:
         from repro.serve.forking import ForkingServer
 
-        with injector, ForkingServer(
+        with ForkingServer(
             spec, workers=args.workers, host=args.host, port=args.port,
             cache_dir=args.cache_dir, max_batch=args.max_batch,
             max_wait_ms=args.max_wait_ms, warm=tuple(args.warm),
@@ -623,15 +629,13 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _pipeline_shards(args: argparse.Namespace) -> list:
-    from repro.pipeline import ShardConfig
-
     base = ScenarioSpec.from_args(args)
     systems = [base.system]
     if getattr(args, "both_systems", False):
         systems = ["emmy", "meggie"]
     seeds = getattr(args, "seeds", None) or [base.seed]
     return [
-        ShardConfig.from_scenario(base.replace(system=system, seed=seed))
+        base.replace(system=system, seed=seed).to_shard_config()
         for system in systems
         for seed in seeds
     ]

@@ -1,15 +1,17 @@
 """Stable top-level facade: one ScenarioSpec in, one result out.
 
-The three entry points most users need, each accepting either the
-canonical :class:`~repro.spec.ScenarioSpec` or the legacy keyword style
+Two entry points, each accepting either the canonical
+:class:`~repro.spec.ScenarioSpec` or the legacy keyword style
 (normalized by the :func:`~repro.spec.as_scenario` shim):
 
 * :func:`generate_dataset` — build one scenario's
   :class:`~repro.telemetry.JobDataset`;
 * :func:`evaluate` — the paper's offline prediction protocol
-  (Figs 14–15) on that dataset;
-* :func:`create_server` — a ready micro-batched HTTP prediction server
-  for the scenario (docs/SERVICE.md).
+  (Figs 14–15) on that dataset.
+
+The third top-level entry point, :func:`repro.create_server`, is
+:func:`repro.serve.create_server` itself and takes a ``ScenarioSpec``
+(docs/SERVICE.md).
 
 All heavy imports happen inside the functions, so the facade costs
 nothing until called (the PEP 562 surface in :mod:`repro` stays light
@@ -22,7 +24,7 @@ from typing import Any, Callable, Mapping
 
 from repro.spec import as_scenario
 
-__all__ = ["generate_dataset", "evaluate", "create_server"]
+__all__ = ["generate_dataset", "evaluate"]
 
 _SpecLike = "ScenarioSpec | Mapping[str, Any] | str | None"
 
@@ -99,48 +101,6 @@ def evaluate(
 
     jobs = build_jobs(**spec.dataset_kwargs(), cache_dir=cache_dir, **passthrough)
     return runner(jobs, models=models, n_repeats=n_repeats, seed=spec.seed)
-
-
-def create_server(
-    scenario: _SpecLike = None,
-    *,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    cache_dir=None,
-    max_batch: int = 64,
-    max_wait_ms: float = 2.0,
-    warm: tuple[str, ...] = (),
-    lifecycle: bool = False,
-    lifecycle_dir=None,
-    **kwargs: Any,
-):
-    """A ready micro-batched prediction server for one scenario.
-
-    Thin re-export of :func:`repro.serve.create_server`; returns a
-    :class:`~repro.serve.PredictionServer` (``serve_forever`` /
-    ``serve_in_background`` / ``close``). See docs/SERVICE.md.
-    ``lifecycle=True`` attaches the drift-aware model lifecycle —
-    ``/v1/feedback``, shadow evaluation, and journaled
-    promote/rollback (docs/LIFECYCLE.md).
-    """
-    scenario_kwargs, passthrough = _split_kwargs(kwargs)
-    if passthrough:
-        raise TypeError(
-            f"create_server got unexpected keyword arguments {sorted(passthrough)}"
-        )
-    from repro.serve import create_server as _create
-
-    return _create(
-        as_scenario(scenario, **scenario_kwargs),
-        host=host,
-        port=port,
-        cache_dir=cache_dir,
-        max_batch=max_batch,
-        max_wait_ms=max_wait_ms,
-        warm=warm,
-        lifecycle=lifecycle,
-        lifecycle_dir=lifecycle_dir,
-    )
 
 
 # Legacy keyword arguments that describe the scenario itself (everything

@@ -15,9 +15,9 @@ suites):
   :func:`~repro.incidents.scenarios.soak_scenario` is the chaos soak
   (every point armed at once), kept out of the catalog;
 * :class:`~repro.incidents.harness.ServedSystem` — the one reusable
-  start/drive/observe/stop harness around a served system (ephemeral
-  ports with bind retry, JSON client, fault arming, metric-delta
-  windows); the pytest suites share it via ``tests/helpers/served.py``;
+  start/drive/observe/stop harness around one in-process server
+  (ephemeral port, JSON client, fault arming, metric-delta windows);
+  the pytest suites share it via ``tests/helpers/served.py``;
 * :func:`~repro.incidents.orchestrator.run_scenario` /
   :class:`~repro.incidents.orchestrator.IncidentBundle` — runs one
   scenario against a live system while a

@@ -93,6 +93,11 @@ _MALFORMED_BODIES = (
 #: Bound on (server errors + lost requests) / requests in any bundle.
 MAX_ERROR_RATE = 0.05
 
+#: Cadence (seconds) of the observer's metric windows.
+_OBSERVER_INTERVAL_S = 0.25
+#: Unarmed one-job requests that pin the healthy latency reference.
+_N_REFERENCE_REQUESTS = 6
+
 
 def default_soak_scenario(seed: int = 3) -> ScenarioSpec:
     """The small served spec every scenario runs against by default."""
@@ -441,12 +446,11 @@ def _ops_loop(
     injector's own accounting.
     """
     from repro.pipeline import ArtifactCache, run_pipeline
-    from repro.pipeline.config import ShardConfig
     from repro.serve.registry import MODEL_STAGE
 
     load = scenario.load
     cache = ArtifactCache(cache_root)
-    shard = ShardConfig.from_scenario(overlay)
+    shard = overlay.to_shard_config()
 
     def emit(kind: str, **extra: Any) -> None:
         with events_lock:
@@ -533,9 +537,6 @@ def run_scenario(
     out_dir: str | Path,
     *,
     cache_dir: str | Path | None = None,
-    spec: ScenarioSpec | None = None,
-    observer_interval_s: float = 0.25,
-    n_reference_requests: int = 6,
     verbose: bool = False,
 ) -> IncidentBundle:
     """Run one incident scenario end-to-end; returns the written bundle.
@@ -544,8 +545,9 @@ def run_scenario(
     if present). ``cache_dir`` is the scratch artifact cache — pass one
     to reuse warmed pipeline artifacts across scenarios in a batch run;
     the default builds (and removes) a private temporary cache so every
-    run starts cold and reproducible. The served system always runs
-    in-process (``workers=1``): fault arming is process-wide.
+    run starts cold and reproducible. The served system is
+    :func:`default_soak_scenario`, served in-process: fault arming is
+    process-wide.
     """
     import tempfile
 
@@ -553,7 +555,7 @@ def run_scenario(
 
     if isinstance(scenario, str):
         scenario = get_scenario(scenario)
-    spec = spec if spec is not None else default_soak_scenario()
+    spec = default_soak_scenario()
     overlay_seed = spec.seed + 1
     overlay = spec.replace(seed=overlay_seed)
 
@@ -576,9 +578,7 @@ def run_scenario(
     t_wall = time.perf_counter()
 
     try:
-        with ServedSystem(
-            spec, cache_dir=cache_root, warm=("BDT",), max_wait_ms=2.0
-        ) as system:
+        with ServedSystem(spec, cache_dir=cache_root, warm=("BDT",)) as system:
             service = system.service
             users = sorted(service.registry.get(spec, "BDT").known_users)
             baseline = PredictRequest(records=(
@@ -592,13 +592,10 @@ def run_scenario(
             # reference nothing faulty has touched yet. The ops reads
             # take the BDT model the warm start committed to the cache.
             from repro.pipeline import run_pipeline
-            from repro.pipeline.config import ShardConfig
 
-            run_pipeline(
-                [ShardConfig.from_scenario(overlay)], cache_dir=cache_root
-            )
+            run_pipeline([overlay.to_shard_config()], cache_dir=cache_root)
             reference_latencies = []
-            for i in range(n_reference_requests):
+            for i in range(_N_REFERENCE_REQUESTS):
                 t0 = time.perf_counter()
                 status, _, _ = system.post(
                     "/v1/predict",
@@ -624,7 +621,7 @@ def run_scenario(
             # Armed phase: clients + ops under the plan, fully observed.
             metrics_before = REGISTRY.snapshot()
             injector.start_clock()
-            observer = _Observer(REGISTRY, injector.elapsed, observer_interval_s)
+            observer = _Observer(REGISTRY, injector.elapsed, _OBSERVER_INTERVAL_S)
             with tracing_to(bundle_dir / _TRACE):
                 with system.armed(injector):
                     observer.start()

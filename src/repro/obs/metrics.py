@@ -152,14 +152,6 @@ class Counter(_Metric):
         with self._lock:
             return sum(self._values.values())
 
-    def render(self) -> list[str]:
-        """This metric's exposition lines (without HELP/TYPE)."""
-        return [
-            f"{self.name}{_format_labels(self.labelnames, key)} "
-            f"{_format_value(value)}"
-            for key, value in sorted(self.series().items())
-        ]
-
 
 class Gauge(_Metric):
     """A value that can go up and down (queue depths, warm-model counts)."""
@@ -196,14 +188,6 @@ class Gauge(_Metric):
         """Snapshot of every label set's value."""
         with self._lock:
             return dict(self._values)
-
-    def render(self) -> list[str]:
-        """This metric's exposition lines (without HELP/TYPE)."""
-        return [
-            f"{self.name}{_format_labels(self.labelnames, key)} "
-            f"{_format_value(value)}"
-            for key, value in sorted(self.series().items())
-        ]
 
 
 class Histogram(_Metric):
@@ -316,23 +300,6 @@ class Histogram(_Metric):
                 for key, counts in self._counts.items()
             }
 
-    def render(self) -> list[str]:
-        """The ``_bucket``/``_sum``/``_count`` exposition triplet."""
-        lines: list[str] = []
-        bucket_names = self.labelnames + ("le",)
-        for key, snap in sorted(self.series().items()):
-            cumulative = 0
-            for edge, bucket_count in zip(self.buckets, snap["buckets"]):
-                cumulative += bucket_count
-                labels = _format_labels(bucket_names, key + (_format_value(edge),))
-                lines.append(f"{self.name}_bucket{labels} {cumulative}")
-            labels = _format_labels(bucket_names, key + ("+Inf",))
-            lines.append(f"{self.name}_bucket{labels} {snap['count']}")
-            plain = _format_labels(self.labelnames, key)
-            lines.append(f"{self.name}_sum{plain} {_format_value(snap['sum'])}")
-            lines.append(f"{self.name}_count{plain} {snap['count']}")
-        return lines
-
 
 class MetricsRegistry:
     """Thread-safe collection of named metrics with text exposition.
@@ -407,15 +374,12 @@ class MetricsRegistry:
         return [m.describe() for m in sorted(metrics, key=lambda m: m.name)]
 
     def render(self) -> str:
-        """Prometheus text exposition (format 0.0.4) of every metric."""
-        with self._lock:
-            metrics = [self._metrics[name] for name in sorted(self._metrics)]
-        lines: list[str] = []
-        for metric in metrics:
-            lines.append(f"# HELP {metric.name} {metric.help}")
-            lines.append(f"# TYPE {metric.name} {metric.kind}")
-            lines.extend(metric.render())
-        return "\n".join(lines) + "\n"
+        """Prometheus text exposition (format 0.0.4) of every metric.
+
+        One renderer writes every exposition: this is
+        :func:`render_merged` over the registry's own :meth:`dump`.
+        """
+        return render_merged([self.dump()])
 
     def snapshot(self) -> dict[str, dict[tuple[str, ...], float]]:
         """Flat ``{name: {label-values: value}}`` of counters and gauges.

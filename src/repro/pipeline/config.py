@@ -140,19 +140,6 @@ class ShardConfig:
         )
         return cls(**data)
 
-    @classmethod
-    def from_scenario(cls, scenario, **extra: Any) -> "ShardConfig":
-        """Build from the canonical :class:`~repro.spec.ScenarioSpec`.
-
-        ``scenario`` may be a ``ScenarioSpec``, a mapping, or the legacy
-        keyword style (anything :func:`repro.spec.as_scenario` accepts);
-        ``extra`` carries the pipeline-only knobs (``backfill_depth``,
-        ``params_overrides``, ``variability_sigma``).
-        """
-        from repro.spec import as_scenario
-
-        return as_scenario(scenario).to_shard_config(**extra)
-
 
 def stage_key(shard: ShardConfig, stage: str) -> str:
     """Content-address of one shard's ``dataset`` entry.

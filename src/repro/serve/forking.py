@@ -27,8 +27,8 @@ Shared-nothing by design, with three thin seams:
 * **supervision** — the parent supervises workers the way the
   :class:`~repro.serve.batching.MicroBatcher` supervises its worker
   thread (PR-4 machinery, one level up): an unexpectedly dead worker is
-  restarted with the same worker id, up to ``max_restarts`` times, and
-  graceful shutdown SIGTERMs the pool and reaps every child.
+  restarted with the same worker id, up to five times in the pool's
+  life, and graceful shutdown SIGTERMs the pool and reaps every child.
 
 Workers are started with the multiprocessing *spawn* method: a forked
 interpreter would inherit the parent's live threads/locks (batcher
@@ -43,6 +43,7 @@ import multiprocessing
 import os
 import signal
 import socket
+import sys
 import tempfile
 import threading
 import time
@@ -50,12 +51,16 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-from repro.errors import ServeError
+from repro.errors import ReproError, ServeError
 from repro.spec import ScenarioSpec
 
 __all__ = ["WorkerConfig", "ForkingServer", "worker_main"]
 
 _READY_POLL_S = 0.05
+#: Unexpected worker deaths the supervisor heals before it gives up.
+_MAX_RESTARTS = 5
+#: Seconds between a worker's metrics snapshots (fleet ``/v1/metrics``).
+_SNAPSHOT_INTERVAL_S = 0.5
 
 
 def _require_reuseport() -> None:
@@ -80,14 +85,11 @@ class WorkerConfig:
     host: str
     port: int
     worker_id: int
-    n_workers: int
     metrics_dir: str
     cache_dir: str | None = None
     max_batch: int = 64
     max_wait_ms: float = 2.0
     warm: tuple[str, ...] = ("BDT",)
-    snapshot_interval_s: float = 0.5
-    verbose: bool = False
     #: Attach a ModelLifecycle in each worker. The journal lives under
     #: ``lifecycle_dir`` (default: the shared cache's ``lifecycle/``
     #: subtree), so every worker replays the same fsync'd event log —
@@ -103,10 +105,9 @@ class WorkerConfig:
 class _SnapshotWriter(threading.Thread):
     """Daemon thread dumping the worker's registry for /v1/metrics fan-in."""
 
-    def __init__(self, path: Path, interval_s: float) -> None:
+    def __init__(self, path: Path) -> None:
         super().__init__(name="repro-metrics-snapshot", daemon=True)
         self.path = path
-        self.interval_s = max(interval_s, 0.05)
         self._stop = threading.Event()
 
     def write_once(self) -> None:
@@ -121,7 +122,7 @@ class _SnapshotWriter(threading.Thread):
             pass  # a missed snapshot only staves the aggregation briefly
 
     def run(self) -> None:
-        while not self._stop.wait(self.interval_s):
+        while not self._stop.wait(_SNAPSHOT_INTERVAL_S):
             self.write_once()
 
     def stop(self) -> None:
@@ -133,45 +134,29 @@ class _SnapshotWriter(threading.Thread):
 def worker_main(config: WorkerConfig) -> int:
     """Entry point of one spawned worker process.
 
-    Builds the full serving stack against ``config``, binds the shared
-    port with ``SO_REUSEPORT``, warms the configured models (from the
-    shared artifact cache when the parent pre-trained them), drops a
-    ``ready-<id>.json`` marker for the parent, then serves until
+    Builds the same serving stack :func:`repro.serve.create_server`
+    builds, binds the shared port with ``SO_REUSEPORT``, warms the
+    configured models (from the shared artifact cache when the parent
+    pre-trained them; a model that fails to warm is reported on stderr
+    and the worker serves on, as ``repro serve`` does in-process), drops
+    a ``ready-<id>.json`` marker for the parent, then serves until
     SIGTERM. On SIGTERM the HTTP server stops accepting, in-flight
     batches drain through :meth:`PredictionService.close`, and the final
     metrics snapshot is flushed so the fleet exposition stays complete.
     """
     # Imports happen here, inside the spawned child, so the parent can
     # construct WorkerConfig without touching numpy or the ML layer.
-    from repro.serve.http import PredictionServer
-    from repro.serve.registry import ModelRegistry
-    from repro.serve.service import PredictionService
+    from repro.serve.http import PredictionServer, _build_service
 
     metrics_dir = Path(config.metrics_dir)
-    spec = config.spec()
-    registry = ModelRegistry(
-        cache_dir=Path(config.cache_dir) if config.cache_dir else None
-    )
-    lifecycle = None
-    if config.lifecycle or config.lifecycle_dir is not None:
-        from repro.serve.lifecycle import ModelLifecycle
-
-        lifecycle = ModelLifecycle(
-            spec, registry=registry, lifecycle_dir=config.lifecycle_dir
-        )
-    service = PredictionService(
-        spec,
-        registry=registry,
-        max_batch=config.max_batch,
-        max_wait_s=config.max_wait_ms / 1e3,
-        lifecycle=lifecycle,
+    service = _build_service(
+        config.spec(), config.cache_dir, config.max_batch, config.max_wait_ms,
+        config.lifecycle, config.lifecycle_dir,
     )
     server = PredictionServer(
         service,
         host=config.host,
         port=config.port,
-        verbose=config.verbose,
-        reuse_port=True,
         worker_id=config.worker_id,
         metrics_dir=metrics_dir,
     )
@@ -179,12 +164,11 @@ def worker_main(config: WorkerConfig) -> int:
     signal.signal(signal.SIGTERM, lambda signum, frame: stop.set())
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # parent coordinates ^C
 
-    if config.warm:
-        service.warm(tuple(config.warm))
-    writer = _SnapshotWriter(
-        metrics_dir / f"metrics-{config.worker_id}.json",
-        config.snapshot_interval_s,
-    )
+    for model, state in service.warm(config.warm).items():
+        if state != "ok":
+            print(f"warning: serve worker {config.worker_id}: warming "
+                  f"{model} failed ({state})", file=sys.stderr, flush=True)
+    writer = _SnapshotWriter(metrics_dir / f"metrics-{config.worker_id}.json")
     writer.write_once()
     writer.start()
     server.serve_in_background()
@@ -216,13 +200,12 @@ class ForkingServer:
         Shared artifact cache; defaults to the pipeline's. Warm models
         are pre-trained into it by :meth:`start` so workers disk-load
         identical artifacts.
-    max_batch / max_wait_ms / warm:
+    max_batch / max_wait_ms / warm / lifecycle / lifecycle_dir:
         Per-worker serving knobs (see :func:`repro.serve.create_server`).
-    max_restarts:
-        Total unexpected-worker-death restarts before the pool gives up
-        restarting (the survivors keep serving).
 
-    Use as a context manager, or ``start()`` … ``close()``.
+    An unexpectedly dead worker is restarted up to five times in the
+    pool's life; after that the survivors keep serving. Use as a
+    context manager, or ``start()`` … ``close()``.
     """
 
     def __init__(
@@ -235,9 +218,6 @@ class ForkingServer:
         max_batch: int = 64,
         max_wait_ms: float = 2.0,
         warm: Sequence[str] = ("BDT",),
-        max_restarts: int = 5,
-        snapshot_interval_s: float = 0.5,
-        verbose: bool = False,
         lifecycle: bool = False,
         lifecycle_dir=None,
     ) -> None:
@@ -256,9 +236,6 @@ class ForkingServer:
         self.lifecycle_dir = (
             str(lifecycle_dir) if lifecycle_dir is not None else None
         )
-        self.max_restarts = max_restarts
-        self.snapshot_interval_s = snapshot_interval_s
-        self.verbose = verbose
         self.restarts = 0
         self._procs: dict[int, Any] = {}
         self._reserve: socket.socket | None = None
@@ -297,14 +274,24 @@ class ForkingServer:
         return self
 
     def _pretrain(self) -> None:
-        """Train the warm models once so every worker disk-loads them."""
+        """Train the warm models once so every worker disk-loads them.
+
+        A model that cannot be trained is skipped, as
+        :meth:`PredictionService.warm` skips it: each worker's own warm
+        reports it, and the pool serves around it. Unknown model names
+        still raise.
+        """
         if not self.warm:
             return
         from repro.serve.registry import ModelRegistry
 
         registry = ModelRegistry(cache_dir=self.cache_dir)
         for model in self.warm:
-            registry.get(self.scenario, model)
+            registry.check_model_name(model)
+            try:
+                registry.get(self.scenario, model)
+            except ReproError:
+                continue
 
     def _config(self, worker_id: int) -> WorkerConfig:
         assert self._metrics_dir is not None
@@ -313,14 +300,11 @@ class ForkingServer:
             host=self.host,
             port=self.port,
             worker_id=worker_id,
-            n_workers=self.workers,
             metrics_dir=str(self._metrics_dir),
             cache_dir=str(self.cache_dir) if self.cache_dir else None,
             max_batch=self.max_batch,
             max_wait_ms=self.max_wait_ms,
             warm=self.warm,
-            snapshot_interval_s=self.snapshot_interval_s,
-            verbose=self.verbose,
             lifecycle=self.lifecycle,
             lifecycle_dir=self.lifecycle_dir,
         )
@@ -364,7 +348,7 @@ class ForkingServer:
             for worker_id, process in list(self._procs.items()):
                 if process.is_alive() or self._closing.is_set():
                     continue
-                if self.restarts >= self.max_restarts:
+                if self.restarts >= _MAX_RESTARTS:
                     return  # survivors keep serving; pool stops healing
                 self.restarts += 1
                 assert self._metrics_dir is not None

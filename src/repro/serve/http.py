@@ -4,9 +4,10 @@ A :class:`~http.server.ThreadingHTTPServer` whose handler threads feed
 the shared :class:`~repro.serve.service.PredictionService` — so N
 concurrent HTTP clients become N producer threads whose single-job
 requests coalesce in the micro-batcher. No third-party web framework.
-With ``reuse_port=True`` several such servers (one per worker process)
-bind the same port and the kernel shards accepted connections across
-them — see :mod:`repro.serve.forking`.
+A server given a ``worker_id`` binds with ``SO_REUSEPORT``, so several
+such servers (one per worker process) share the same port and the
+kernel shards accepted connections across them — see
+:mod:`repro.serve.forking`. Request logging is off.
 
 The HTTP surface lives under ``/v1/`` (see docs/API.md and
 docs/SERVICE.md for payloads); :data:`ROUTES` is the whole table:
@@ -141,8 +142,7 @@ class _Handler(BaseHTTPRequestHandler):
         self._dispatch()
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
-        if self.server.verbose:
-            super().log_message(format, *args)
+        """Request logging is off."""
 
     def send_error(
         self, code: int, message: str | None = None, explain: str | None = None
@@ -159,7 +159,6 @@ class _Handler(BaseHTTPRequestHandler):
         code = int(code)
         self._endpoint = "other"
         _HTTP_REQUESTS.inc(endpoint="other")
-        self.log_error("code %d, message %s", code, message)
         self._send_json(
             code,
             {"error": message or self.responses[code][0]},
@@ -432,10 +431,10 @@ class PredictionServer(ThreadingHTTPServer):
     :attr:`address` reports the resolved ``host:port``. Use as a context
     manager, or call :meth:`shutdown` then :meth:`server_close`.
 
-    Multi-process mode (:mod:`repro.serve.forking`) passes three extra
-    knobs: ``reuse_port`` makes the bind set ``SO_REUSEPORT`` so sibling
-    worker processes share one port and the kernel load-balances
-    accepted connections; ``worker_id`` tags ``/v1/healthz`` and
+    Multi-process mode (:mod:`repro.serve.forking`) passes two extra
+    arguments: ``worker_id`` makes the bind set ``SO_REUSEPORT`` so
+    sibling worker processes share one port and the kernel
+    load-balances accepted connections, and tags ``/v1/healthz`` and
     ``/v1/models`` responses; ``metrics_dir`` points at the directory of
     peer metric snapshots that :meth:`render_metrics` merges into a
     fleet-wide ``/v1/metrics`` exposition.
@@ -448,44 +447,36 @@ class PredictionServer(ThreadingHTTPServer):
         service: PredictionService,
         host: str = "127.0.0.1",
         port: int = 0,
-        verbose: bool = False,
-        reuse_port: bool = False,
         worker_id: int | None = None,
         metrics_dir: "Path | str | None" = None,
     ) -> None:
         self.service = service
-        self.verbose = verbose
         self.worker_id = worker_id
         self.metrics_dir = Path(metrics_dir) if metrics_dir is not None else None
         # socketserver.TCPServer applies this in server_bind (3.11+).
-        self.allow_reuse_port = reuse_port
+        self.allow_reuse_port = worker_id is not None
         self._serving = False
         super().__init__((host, port), _Handler)
 
     def render_metrics(self) -> str:
         """The ``/v1/metrics`` exposition body.
 
-        Process-local registry by default; when ``metrics_dir`` is set,
-        the live local registry is merged with every peer worker's
-        latest on-disk snapshot (``metrics-<worker>.json``) so any
-        worker answers for the whole fleet. A torn or half-written peer
-        snapshot is skipped — stale-but-consistent beats corrupt.
+        The live process-local registry, merged, when ``metrics_dir`` is
+        set, with every peer worker's latest on-disk snapshot
+        (``metrics-<worker>.json``) so any worker answers for the whole
+        fleet. A torn or half-written peer snapshot is skipped —
+        stale-but-consistent beats corrupt.
         """
-        if self.metrics_dir is None:
-            return REGISTRY.render()
         states = [REGISTRY.dump()]
-        own = (
-            None
-            if self.worker_id is None
-            else self.metrics_dir / f"metrics-{self.worker_id}.json"
-        )
-        for path in sorted(self.metrics_dir.glob("metrics-*.json")):
-            if own is not None and path == own:
-                continue  # our own snapshot is stale vs the live registry
-            try:
-                states.append(json.loads(path.read_text()))
-            except (OSError, ValueError):
-                continue
+        if self.metrics_dir is not None:
+            own = self.metrics_dir / f"metrics-{self.worker_id}.json"
+            for path in sorted(self.metrics_dir.glob("metrics-*.json")):
+                if path == own:
+                    continue  # our own snapshot is stale vs the live registry
+                try:
+                    states.append(json.loads(path.read_text()))
+                except (OSError, ValueError):
+                    continue
         return render_merged(states)
 
     def serve_forever(self, poll_interval: float = 0.5) -> None:
@@ -523,16 +514,42 @@ class PredictionServer(ThreadingHTTPServer):
         self.close()
 
 
+def _build_service(
+    scenario: ScenarioSpec,
+    cache_dir,
+    max_batch: int,
+    max_wait_ms: float,
+    lifecycle: bool,
+    lifecycle_dir,
+) -> PredictionService:
+    """The serving stack under one HTTP front-end: registry → optional
+    lifecycle → service. :func:`create_server` and each forked worker
+    (:func:`repro.serve.forking.worker_main`) build it here."""
+    registry = ModelRegistry(cache_dir=cache_dir)
+    manager = None
+    if lifecycle or lifecycle_dir is not None:
+        from repro.serve.lifecycle import ModelLifecycle
+
+        manager = ModelLifecycle(
+            scenario, registry=registry, lifecycle_dir=lifecycle_dir
+        )
+    return PredictionService(
+        scenario,
+        registry=registry,
+        max_batch=max_batch,
+        max_wait_s=max_wait_ms / 1e3,
+        lifecycle=manager,
+    )
+
+
 def create_server(
     scenario: ScenarioSpec,
     host: str = "127.0.0.1",
     port: int = 0,
     cache_dir=None,
-    registry=None,
     max_batch: int = 64,
     max_wait_ms: float = 2.0,
     warm: tuple[str, ...] = (),
-    verbose: bool = False,
     lifecycle: bool = False,
     lifecycle_dir=None,
 ) -> PredictionServer:
@@ -548,23 +565,10 @@ def create_server(
     ``serve_forever`` (or :meth:`PredictionServer.serve_in_background`)
     and :meth:`PredictionServer.close`.
     """
-    if registry is None:
-        registry = ModelRegistry(cache_dir=cache_dir)
-    manager = None
-    if lifecycle or lifecycle_dir is not None:
-        from repro.serve.lifecycle import ModelLifecycle
-
-        manager = ModelLifecycle(
-            scenario, registry=registry, lifecycle_dir=lifecycle_dir
-        )
-    service = PredictionService(
-        scenario,
-        registry=registry,
-        max_batch=max_batch,
-        max_wait_s=max_wait_ms / 1e3,
-        lifecycle=manager,
+    service = _build_service(
+        scenario, cache_dir, max_batch, max_wait_ms, lifecycle, lifecycle_dir
     )
-    server = PredictionServer(service, host=host, port=port, verbose=verbose)
+    server = PredictionServer(service, host=host, port=port)
     if warm:
         service.warm(warm)
     return server

@@ -5,7 +5,7 @@ over what horizon?" once, in one frozen object, instead of every layer
 re-declaring the same six keyword arguments. It is consumed by
 
 * the CLI (``--system/--seed/--num-nodes/...`` flags map 1:1 to fields),
-* the pipeline (:meth:`repro.pipeline.ShardConfig.from_scenario`),
+* the pipeline (:meth:`ScenarioSpec.to_shard_config`),
 * the top-level facade (:func:`repro.generate_dataset`,
   :func:`repro.evaluate`, :func:`repro.create_server`), and
 * the serving layer, which keys trained models by

@@ -6,7 +6,6 @@ import numpy as np
 
 from repro.faults import FaultPlan, FaultRule, arm
 from repro.pipeline import build_dataset, run_pipeline
-from repro.pipeline.config import ShardConfig
 from repro.telemetry import generate_dataset
 
 
@@ -53,7 +52,7 @@ def test_unarmed_runs_are_bit_identical_to_clean_runs(tiny_spec):
 
 
 def test_gap_count_reaches_stage_meta_and_manifest(tmp_path, tiny_spec):
-    shard = ShardConfig.from_scenario(tiny_spec)
+    shard = tiny_spec.to_shard_config()
     with arm(_drop_plan(rate=0.1)) as injector:
         manifest = run_pipeline([shard], cache_dir=tmp_path)
     fired = injector.fires("telemetry.drop")
@@ -72,9 +71,7 @@ def test_gap_count_reaches_stage_meta_and_manifest(tmp_path, tiny_spec):
 
 
 def test_clean_runs_report_zero_gaps(tmp_path, tiny_spec):
-    manifest = run_pipeline(
-        [ShardConfig.from_scenario(tiny_spec)], cache_dir=tmp_path
-    )
+    manifest = run_pipeline([tiny_spec.to_shard_config()], cache_dir=tmp_path)
     assert manifest.n_gaps == 0
     assert all(t.n_gaps == 0 for s in manifest.shards for t in s.stages)
 
@@ -87,7 +84,7 @@ def test_gap_filled_dataset_key_unchanged_but_contents_flagged(tmp_path,
     build_dataset(**kwargs, cache_dir=clean_dir)
     with arm(_drop_plan(rate=0.1)):
         build_dataset(**kwargs, cache_dir=gappy_dir)
-    shard = ShardConfig.from_scenario(tiny_spec)
+    shard = tiny_spec.to_shard_config()
     from repro.pipeline.config import stage_key
 
     key = stage_key(shard, "dataset")

@@ -1,15 +1,12 @@
-"""ServedSystem: lifecycle, HTTP client, fault arming, bind retry.
+"""ServedSystem: lifecycle, HTTP client, fault arming, metric windows.
 
 The harness is the one copy of the start/drive/observe/stop dance every
 suite used to hand-roll, so its own edges get pinned here: shared
-services must survive ``stop()``, explicit ports that lose a bind race
-must retry and fall back (the old flake), and arming must refuse the
-forked mode it cannot reach.
+services must survive ``stop()``, and arming must restore the previous
+injector state.
 """
 
 from __future__ import annotations
-
-import socket
 
 import pytest
 
@@ -65,46 +62,6 @@ def test_served_contextmanager_wrapper(tiny_service):
     assert system.running is False
 
 
-def test_explicit_port_collision_falls_back_to_ephemeral(tiny_service):
-    # Occupy a port, then ask the harness for exactly that port: the
-    # retry loop must back off and fall back instead of flaking.
-    blocker = socket.socket()
-    blocker.bind(("127.0.0.1", 0))
-    blocker.listen(1)
-    taken = blocker.getsockname()[1]
-    try:
-        with ServedSystem(
-            service=tiny_service, port=taken, bind_retries=2
-        ) as system:
-            assert system.port != taken
-            status, _, _ = system.get("/v1/healthz")
-            assert status == 200
-    finally:
-        blocker.close()
-
-
-def test_strict_port_collision_fails_loudly(tiny_service):
-    blocker = socket.socket()
-    blocker.bind(("127.0.0.1", 0))
-    blocker.listen(1)
-    taken = blocker.getsockname()[1]
-    try:
-        system = ServedSystem(
-            service=tiny_service, port=taken, bind_retries=2, strict_port=True
-        )
-        with pytest.raises(IncidentError, match="could not bind"):
-            system.start()
-    finally:
-        blocker.close()
-
-
-def test_constructor_validation(tiny_service):
-    with pytest.raises(IncidentError, match="workers"):
-        ServedSystem(workers=0)
-    with pytest.raises(IncidentError, match="cannot be forked"):
-        ServedSystem(service=tiny_service, workers=2)
-
-
 def test_armed_wraps_plans_and_restores_state(tiny_service):
     plan = FaultPlan(seed=9, rules=(FaultRule("cache.read", rate=1.0),))
     with ServedSystem(service=tiny_service) as system:
@@ -117,13 +74,6 @@ def test_armed_wraps_plans_and_restores_state(tiny_service):
         prebuilt = FaultInjector(plan)
         with system.armed(prebuilt) as injector:
             assert injector is prebuilt
-
-
-def test_armed_refuses_forked_workers():
-    system = ServedSystem("emmy", workers=2)  # never started: cheap
-    with pytest.raises(IncidentError, match="forked"):
-        with system.armed(FaultPlan(seed=1)):
-            pass
 
 
 def test_snapshot_delta_brackets_own_traffic(tiny_service):

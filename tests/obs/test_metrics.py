@@ -107,10 +107,11 @@ class TestHistogram:
         assert h.mean() == pytest.approx(55.55 / 4)
 
     def test_buckets_cumulative_in_exposition(self):
-        h = Histogram("t_cum", "cumulative", buckets=(1.0, 2.0))
+        reg = MetricsRegistry()
+        h = reg.histogram("t_cum", "cumulative", buckets=(1.0, 2.0))
         for v in (0.5, 1.5, 99.0):
             h.observe(v)
-        lines = h.render()
+        lines = reg.render().splitlines()
         assert 't_cum_bucket{le="1"} 1' in lines
         assert 't_cum_bucket{le="2"} 2' in lines
         assert 't_cum_bucket{le="+Inf"} 3' in lines

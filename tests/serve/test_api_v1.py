@@ -49,7 +49,6 @@ def v1_server(tiny_spec, serve_cache, tmp_path_factory):
         cache_dir=serve_cache,
         lifecycle_dir=tmp_path_factory.mktemp("v1-lifecycle"),
         warm=("online",),
-        max_wait_ms=1.0,
     ) as system:
         yield system
 

@@ -24,7 +24,7 @@ import pytest
 
 from repro.errors import ServeError
 from repro.serve import PredictionService, PredictRequest
-from repro.serve.forking import ForkingServer, WorkerConfig
+from repro.serve.forking import _SNAPSHOT_INTERVAL_S, ForkingServer, WorkerConfig
 
 pytestmark = pytest.mark.skipif(
     not hasattr(__import__("socket"), "SO_REUSEPORT"),
@@ -151,7 +151,7 @@ def _settled_fleet_requests(pool, timeout: float = 10.0) -> float:
     deadline = time.monotonic() + timeout
     last = _fleet_requests(pool)
     while time.monotonic() < deadline:
-        time.sleep(1.5 * pool.snapshot_interval_s)
+        time.sleep(1.5 * _SNAPSHOT_INTERVAL_S)
         now = _fleet_requests(pool)
         if now == last:
             return now
@@ -246,7 +246,7 @@ def test_supervisor_replaces_killed_worker(pool, tiny_records):
 def test_worker_config_round_trips_scenario(tiny_spec):
     cfg = WorkerConfig(
         scenario=tiny_spec.to_dict(), host="127.0.0.1", port=0,
-        worker_id=0, n_workers=1, metrics_dir="/tmp/x",
+        worker_id=0, metrics_dir="/tmp/x",
     )
     assert cfg.spec() == tiny_spec
 
@@ -254,3 +254,20 @@ def test_worker_config_round_trips_scenario(tiny_spec):
 def test_pool_rejects_zero_workers(tiny_spec):
     with pytest.raises(ServeError):
         ForkingServer(tiny_spec, workers=0)
+
+
+def test_pool_serves_around_a_model_it_cannot_warm(tiny_spec, serve_cache, tiny_records):
+    """GPU cannot be trained on emmy: the pool starts anyway, as the
+    in-process server does, serves BDT undegraded and answers GPU 400."""
+    with ForkingServer(
+        tiny_spec, workers=1, cache_dir=serve_cache, warm=("BDT", "GPU")
+    ) as pool:
+        for model, want in (("BDT", 200), ("GPU", 400)):
+            body = json.dumps({"model": model, "jobs": tiny_records[:2]}).encode()
+            status, _, data = _request(
+                pool, "POST", "/v1/predict", body,
+                {"Content-Type": "application/json"},
+            )
+            assert status == want, data
+            if model == "BDT":
+                assert json.loads(data)["degraded"] is False

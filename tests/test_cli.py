@@ -158,6 +158,24 @@ class TestPipelineCommands:
         assert args.fault_plan == tmp_path / "plan.json"
         assert build_parser().parse_args(["serve"]).fault_plan is None
 
+    def test_serve_refuses_a_fault_plan_for_a_worker_pool(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """The plan arms the parent process, which spawned workers never
+        see: the command must stop before it builds any worker."""
+        import repro.serve.forking as forking
+        from repro.faults import FaultPlan, FaultRule
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was built")
+
+        monkeypatch.setattr(forking, "ForkingServer", no_pool)
+        plan = FaultPlan(seed=1, rules=(FaultRule("cache.read", rate=1.0),))
+        path = plan.save(tmp_path / "plan.json")
+        argv = ["serve", "--workers", "2", "--port", "0", "--fault-plan", str(path)]
+        assert main(argv) == 2
+        assert "--workers 1" in capsys.readouterr().err
+
     def test_clean_requires_filter_or_all(self, tmp_path, capsys):
         assert main(["pipeline", "clean", "--cache-dir", str(tmp_path)]) == 2
         assert "--all" in capsys.readouterr().err

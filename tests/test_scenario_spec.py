@@ -140,14 +140,13 @@ def test_as_scenario_shim_styles():
 
 
 def test_dataset_digest_matches_pipeline_stage_key():
-    from repro.pipeline.config import ShardConfig, stage_key
+    from repro.pipeline.config import stage_key
 
     spec = ScenarioSpec("emmy", seed=3, num_nodes=24, horizon_days=2)
     assert spec.dataset_digest == stage_key(spec.to_shard_config(), "dataset")
     assert spec.dataset_digest != spec.replace(seed=4).dataset_digest
-    assert ShardConfig.from_scenario(spec) == spec.to_shard_config()
     # Pipeline-only knobs pass through to the shard config.
-    assert ShardConfig.from_scenario(spec, backfill_depth=7).backfill_depth == 7
+    assert spec.to_shard_config(backfill_depth=7).backfill_depth == 7
 
 
 def test_system_name_is_case_insensitive():

@@ -18,7 +18,9 @@ by docs/LIFECYCLE.md; that the incident-benchmark surface
 (``repro.incidents.__all__``) is covered by docs/INCIDENTS.md; and that
 the heterogeneous-scenario catalog (every registered system, every
 evaluation track, every exit-code constant) is covered by
-docs/SCENARIOS.md; and that the metric catalog in docs/OBSERVABILITY.md
+docs/SCENARIOS.md; that every row of docs/SERVICE.md's Knobs table
+names a ``repro serve`` flag or a parameter of ``create_server``,
+``ForkingServer`` or ``PredictionService``; and that the metric catalog in docs/OBSERVABILITY.md
 has one row, with the right kind, for each ``repro_…`` family the source
 registers and no other. Finally, README.md and docs/*.md may name only HTTP
 routes the server serves (the route table in ``repro.serve.http``), and
@@ -62,6 +64,8 @@ _ROOT_JSON = re.compile(r"\b((?:BENCH|SCORECARD)_[\w*]+\.json)")
 _METRIC_REGISTRATION = re.compile(r"\.(counter|gauge|histogram)\(\s*\"(repro_\w+)\"")
 #: A metric catalog row: ``| `repro_x{labels}` | kind | ...``.
 _METRIC_ROW = re.compile(r"^\|\s*`(repro_\w+)(?:\{[^}]*\})?`\s*\|\s*(\w+)\s*\|", re.M)
+#: A Knobs table row of docs/SERVICE.md: ``| `--max-batch` | 64 | ...``.
+_KNOB_ROW = re.compile(r"^\|\s*`([\w-]+)`\s*\|", re.M)
 
 
 def check_docstrings(module_name: str) -> list[str]:
@@ -218,6 +222,42 @@ def check_metrics_doc() -> list[str]:
     return problems
 
 
+def check_service_knobs() -> list[str]:
+    """Rows of docs/SERVICE.md's Knobs table that name no settable knob.
+
+    A row names a ``repro serve`` flag (``--max-batch``) or a parameter
+    of ``create_server``, ``ForkingServer`` or ``PredictionService``
+    (``max_queue``). A row naming anything else documents a value no
+    caller can set, such as a parameter that became a constant.
+    """
+    import argparse
+
+    from repro.cli import build_parser
+    from repro.serve import ForkingServer, PredictionService, create_server
+
+    text = SERVICE_DOC.read_text() if SERVICE_DOC.is_file() else ""
+    if "\n## Knobs\n" not in text:
+        return ["docs/SERVICE.md has no ## Knobs section"]
+    table = text.split("\n## Knobs\n", 1)[1].split("\n## ", 1)[0]
+    subcommands = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    settable = {
+        flag
+        for action in subcommands.choices["serve"]._actions
+        for flag in action.option_strings
+    }
+    for target in (create_server, ForkingServer, PredictionService):
+        settable.update(inspect.signature(target).parameters)
+    return [
+        f"`{name}` is neither a `repro serve` flag nor a parameter of "
+        "create_server, ForkingServer or PredictionService"
+        for name in _KNOB_ROW.findall(table)
+        if name not in settable
+    ]
+
+
 def check_routes() -> list[str]:
     """HTTP routes that README.md or docs/*.md name but nobody serves.
 
@@ -310,6 +350,8 @@ def main() -> int:
         problems.append(f"absent from docs/INCIDENTS.md: repro.incidents.{name}")
     for name in check_scenarios_doc():
         problems.append(f"absent from docs/SCENARIOS.md: {name}")
+    for problem in check_service_knobs():
+        problems.append(f"docs/SERVICE.md knob: {problem}")
     for problem in check_metrics_doc():
         problems.append(f"metric catalog: {problem}")
     for problem in check_routes():
