@@ -15,11 +15,11 @@ Shared-nothing by design, with three thin seams:
 
 * **models** — workers load trained artifacts from the shared on-disk
   :class:`~repro.pipeline.ArtifactCache`; :meth:`ForkingServer.start`
-  pre-trains the warm models once in the parent so workers cold-start
-  by disk-loading the *same* artifact (bit-identical predictions across
-  workers — asserted by the fan-in test). A worker that races past the
-  cache retrains deterministically from the same frozen scenario, which
-  produces the same model.
+  pre-trains the warm models once in the parent while the workers boot,
+  and each worker waits for the parent's release before it warms, so
+  every worker disk-loads the *same* artifact and none trains one
+  (bit-identical predictions across workers — asserted by the fan-in
+  test). Each worker then reports ready on a one-way pipe.
 * **metrics** — each worker periodically snapshots its process-local
   :data:`~repro.obs.metrics.REGISTRY` into the pool's ``metrics_dir``;
   ``GET /v1/metrics`` on *any* worker merges every snapshot with
@@ -38,8 +38,10 @@ its stack from scratch.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import multiprocessing
+import multiprocessing.connection
 import os
 import signal
 import socket
@@ -49,14 +51,13 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import ReproError, ServeError
 from repro.spec import ScenarioSpec
 
 __all__ = ["WorkerConfig", "ForkingServer", "worker_main"]
 
-_READY_POLL_S = 0.05
 #: Unexpected worker deaths the supervisor heals before it gives up.
 _MAX_RESTARTS = 5
 #: Seconds between a worker's metrics snapshots (fleet ``/v1/metrics``).
@@ -71,14 +72,49 @@ def _require_reuseport() -> None:
         )
 
 
+def _cpu_of(pid: int) -> int | None:
+    """The CPU process ``pid`` last ran on (Linux ``/proc``), else None."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return int(stat.read().rsplit(")", 1)[1].split()[36])
+    except (OSError, ValueError, IndexError):
+        return None
+
+
+@contextlib.contextmanager
+def _off_cpus_of(pids: Iterable[int]) -> Iterator[None]:
+    """Keep the calling thread off the CPUs that ``pids`` run on.
+
+    A spawned worker starts on its parent's CPU, and where the kernel
+    does not balance load (a cpuset with ``sched_load_balance`` off) it
+    never leaves it, so a parent pre-training beside its booting workers
+    would share their CPU and the overlap would save nothing. Nothing
+    moves when no other allowed CPU is free of them, and the thread's
+    own affinity mask is restored on exit.
+    """
+    allowed = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else set()
+    spare = allowed - {_cpu_of(pid) for pid in pids}
+    moved = False
+    if spare and spare != allowed:
+        with contextlib.suppress(OSError):
+            os.sched_setaffinity(0, spare)
+            moved = True
+    try:
+        yield
+    finally:
+        if moved:
+            os.sched_setaffinity(0, allowed)
+
+
 @dataclass(frozen=True)
 class WorkerConfig:
     """Everything one worker process needs, in picklable form.
 
-    Shipped to the spawned child as the single argument of
-    :func:`worker_main`; every field is a plain value so the config
-    crosses the spawn boundary without importing the serving stack in
-    the parent's hot path.
+    Shipped to the spawned child as the first argument of
+    :func:`worker_main`, ahead of the release event and the ready pipe;
+    every field is a plain value so the config crosses the spawn
+    boundary without importing the serving stack in the parent's hot
+    path.
     """
 
     scenario: Mapping[str, Any]
@@ -131,18 +167,23 @@ class _SnapshotWriter(threading.Thread):
         self.write_once()
 
 
-def worker_main(config: WorkerConfig) -> int:
+def worker_main(config: WorkerConfig, release, ready) -> int:
     """Entry point of one spawned worker process.
 
     Builds the same serving stack :func:`repro.serve.create_server`
-    builds, binds the shared port with ``SO_REUSEPORT``, warms the
-    configured models (from the shared artifact cache when the parent
-    pre-trained them; a model that fails to warm is reported on stderr
-    and the worker serves on, as ``repro serve`` does in-process), drops
-    a ``ready-<id>.json`` marker for the parent, then serves until
-    SIGTERM. On SIGTERM the HTTP server stops accepting, in-flight
-    batches drain through :meth:`PredictionService.close`, and the final
-    metrics snapshot is flushed so the fleet exposition stays complete.
+    builds and binds the shared port with ``SO_REUSEPORT``, then waits
+    on ``release``, a spawn-context :class:`multiprocessing.Event` the
+    parent sets once it has committed the warm models to the shared
+    artifact cache. Only then does it warm them, so it disk-loads the
+    parent's artifact; a model that fails to warm is reported on stderr
+    and the worker serves on, as ``repro serve`` does in-process. Once
+    serving, it sends one message on ``ready``, the write end of a
+    one-way pipe (``None`` for a worker the supervisor respawned), and
+    serves until SIGTERM. Before the release SIGTERM keeps its default
+    action, since nothing is served yet; after it, the HTTP server stops
+    accepting, in-flight batches drain through
+    :meth:`PredictionService.close`, and the final metrics snapshot is
+    flushed so the fleet exposition stays complete.
     """
     # Imports happen here, inside the spawned child, so the parent can
     # construct WorkerConfig without touching numpy or the ML layer.
@@ -160,9 +201,10 @@ def worker_main(config: WorkerConfig) -> int:
         worker_id=config.worker_id,
         metrics_dir=metrics_dir,
     )
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # parent coordinates ^C
+    release.wait()
     stop = threading.Event()
     signal.signal(signal.SIGTERM, lambda signum, frame: stop.set())
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # parent coordinates ^C
 
     for model, state in service.warm(config.warm).items():
         if state != "ok":
@@ -172,8 +214,9 @@ def worker_main(config: WorkerConfig) -> int:
     writer.write_once()
     writer.start()
     server.serve_in_background()
-    ready = metrics_dir / f"ready-{config.worker_id}.json"
-    ready.write_text(json.dumps({"pid": os.getpid(), "port": server.port}))
+    if ready is not None:
+        ready.send(os.getpid())
+        ready.close()
 
     stop.wait()
     writer.stop()
@@ -240,6 +283,7 @@ class ForkingServer:
         self._procs: dict[int, Any] = {}
         self._reserve: socket.socket | None = None
         self._metrics_dir: Path | None = None
+        self._release: Any = None
         self._supervisor: threading.Thread | None = None
         self._closing = threading.Event()
         self._started = False
@@ -248,28 +292,56 @@ class ForkingServer:
     # -- lifecycle -------------------------------------------------------
 
     def start(self, timeout: float = 120.0) -> "ForkingServer":
-        """Reserve the port, pre-train warm models, spawn + await workers."""
+        """Reserve the port and spawn the workers, pre-train the warm
+        models while they boot, release them and await their readiness.
+
+        Pre-training runs on an allowed CPU none of the booting workers
+        is on, when there is one. ``timeout`` bounds the wait for
+        readiness after the release. A worker that exits before it is
+        ready fails the start at once. A failed start closes the pool
+        (workers, port, scratch directory) before it raises.
+        """
         if self._started:
             return self
-        self._metrics_dir = Path(
-            tempfile.mkdtemp(prefix="repro-serve-pool-")
-        )
-        self._reserve = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._reserve.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-        self._reserve.bind((self.host, self._requested_port))
-        # Never listen(): a bound-but-closed-state TCP socket is invisible
-        # to the kernel's reuseport listener selection, so it only pins
-        # the port number for restarting workers.
-        self.port = self._reserve.getsockname()[1]
-        self._pretrain()
-        ctx = multiprocessing.get_context("spawn")
-        for worker_id in range(self.workers):
-            self._spawn(ctx, worker_id)
-        self._await_ready(timeout)
-        self._supervisor = threading.Thread(
-            target=self._supervise, name="repro-serve-supervisor", daemon=True
-        )
-        self._supervisor.start()
+        from repro.serve.registry import ModelRegistry
+
+        for model in self.warm:
+            ModelRegistry.check_model_name(model)
+        self._closing.clear()  # a pool started again after close() heals
+        readers: dict[int, Any] = {}
+        try:
+            self._metrics_dir = Path(
+                tempfile.mkdtemp(prefix="repro-serve-pool-")
+            )
+            self._reserve = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            self._reserve.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
+            self._reserve.bind((self.host, self._requested_port))
+            # Never listen(): a bound-but-closed-state TCP socket is invisible
+            # to the kernel's reuseport listener selection, so it only pins
+            # the port number for restarting workers.
+            self.port = self._reserve.getsockname()[1]
+            ctx = multiprocessing.get_context("spawn")
+            self._release = ctx.Event()
+            for worker_id in range(self.workers):
+                readers[worker_id], writer = ctx.Pipe(duplex=False)
+                with writer:  # the spawned worker holds its own copy
+                    self._spawn(ctx, worker_id, writer)
+            try:
+                with _off_cpus_of(p.pid for p in self._procs.values()):
+                    self._pretrain()
+            finally:
+                self._release.set()
+            self._await_ready(readers, timeout)
+            self._supervisor = threading.Thread(
+                target=self._supervise, name="repro-serve-supervisor", daemon=True
+            )
+            self._supervisor.start()
+        except BaseException:
+            self.close()
+            raise
+        finally:
+            for reader in readers.values():
+                reader.close()
         self._started = True
         return self
 
@@ -278,8 +350,7 @@ class ForkingServer:
 
         A model that cannot be trained is skipped, as
         :meth:`PredictionService.warm` skips it: each worker's own warm
-        reports it, and the pool serves around it. Unknown model names
-        still raise.
+        reports it, and the pool serves around it.
         """
         if not self.warm:
             return
@@ -287,7 +358,6 @@ class ForkingServer:
 
         registry = ModelRegistry(cache_dir=self.cache_dir)
         for model in self.warm:
-            registry.check_model_name(model)
             try:
                 registry.get(self.scenario, model)
             except ReproError:
@@ -309,37 +379,49 @@ class ForkingServer:
             lifecycle_dir=self.lifecycle_dir,
         )
 
-    def _spawn(self, ctx, worker_id: int) -> None:
+    def _spawn(self, ctx, worker_id: int, ready) -> None:
         process = ctx.Process(
             target=worker_main,
-            args=(self._config(worker_id),),
+            args=(self._config(worker_id), self._release, ready),
             name=f"repro-serve-worker-{worker_id}",
             daemon=True,
         )
         process.start()
         self._procs[worker_id] = process
 
-    def _await_ready(self, timeout: float) -> None:
-        assert self._metrics_dir is not None
+    def _await_ready(self, readers: dict[int, Any], timeout: float) -> None:
+        """Wait on the workers' ready pipes and their process sentinels."""
         deadline = time.monotonic() + timeout
-        pending = set(self._procs)
-        while pending and time.monotonic() < deadline:
-            for worker_id in sorted(pending):
-                if (self._metrics_dir / f"ready-{worker_id}.json").is_file():
-                    pending.discard(worker_id)
-                elif not self._procs[worker_id].is_alive():
-                    self.close()
-                    raise ServeError(
-                        f"serve worker {worker_id} died during startup "
-                        f"(exit {self._procs[worker_id].exitcode})"
-                    )
-            if pending:
-                time.sleep(_READY_POLL_S)
-        if pending:
-            self.close()
-            raise ServeError(
-                f"serve workers {sorted(pending)} not ready within {timeout}s"
+        pending = dict(readers)
+        while pending:
+            sentinels = {self._procs[w].sentinel: w for w in pending}
+            fired = multiprocessing.connection.wait(
+                [*pending.values(), *sentinels],
+                max(0.0, deadline - time.monotonic()),
             )
+            if not fired:
+                raise ServeError(
+                    f"serve workers {sorted(pending)} not ready within "
+                    f"{timeout}s"
+                )
+            for worker_id, reader in list(pending.items()):
+                if reader in fired:
+                    try:
+                        reader.recv()
+                    except EOFError:
+                        raise self._died(worker_id) from None
+                    del pending[worker_id]
+            for sentinel, worker_id in sentinels.items():
+                if sentinel in fired and worker_id in pending:
+                    raise self._died(worker_id)
+
+    def _died(self, worker_id: int) -> ServeError:
+        process = self._procs[worker_id]
+        process.join(timeout=1.0)  # reap it, so its exit code is known
+        return ServeError(
+            f"serve worker {worker_id} died during startup "
+            f"(exit {process.exitcode})"
+        )
 
     def _supervise(self) -> None:
         """Restart unexpectedly dead workers, PR-4 style, until closing."""
@@ -351,13 +433,7 @@ class ForkingServer:
                 if self.restarts >= _MAX_RESTARTS:
                     return  # survivors keep serving; pool stops healing
                 self.restarts += 1
-                assert self._metrics_dir is not None
-                ready = self._metrics_dir / f"ready-{worker_id}.json"
-                try:
-                    ready.unlink()
-                except OSError:
-                    pass
-                self._spawn(ctx, worker_id)
+                self._spawn(ctx, worker_id, None)  # released at once
 
     def close(self, timeout: float = 10.0) -> None:
         """SIGTERM the pool, reap every worker, release port + scratch."""

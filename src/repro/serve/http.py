@@ -553,7 +553,7 @@ def create_server(
     lifecycle: bool = False,
     lifecycle_dir=None,
 ) -> PredictionServer:
-    """Build a ready-to-serve :class:`PredictionServer` for one scenario.
+    """Build a :class:`PredictionServer` for one scenario, ready to serve.
 
     ``scenario`` is a :class:`~repro.spec.ScenarioSpec`. ``warm`` names
     models to train/load before the socket starts answering (e.g.

@@ -15,8 +15,13 @@ from __future__ import annotations
 
 import http.client
 import json
+import multiprocessing
 import os
 import signal
+import socket
+import subprocess
+import sys
+import tempfile
 import time
 
 import numpy as np
@@ -27,7 +32,7 @@ from repro.serve import PredictionService, PredictRequest
 from repro.serve.forking import _SNAPSHOT_INTERVAL_S, ForkingServer, WorkerConfig
 
 pytestmark = pytest.mark.skipif(
-    not hasattr(__import__("socket"), "SO_REUSEPORT"),
+    not hasattr(socket, "SO_REUSEPORT"),
     reason="platform lacks SO_REUSEPORT",
 )
 
@@ -271,3 +276,136 @@ def test_pool_serves_around_a_model_it_cannot_warm(tiny_spec, serve_cache, tiny_
             assert status == want, data
             if model == "BDT":
                 assert json.loads(data)["degraded"] is False
+
+
+class _RecordingServer(ForkingServer):
+    """Notes how many workers were alive when pre-training began."""
+
+    alive_at_pretrain = None
+
+    def _pretrain(self) -> None:
+        self.alive_at_pretrain = self.alive_workers()
+        super()._pretrain()
+
+
+def test_workers_boot_while_the_parent_pretrains(tiny_spec, serve_cache):
+    with _RecordingServer(tiny_spec, workers=2, cache_dir=serve_cache) as pool:
+        assert pool.alive_at_pretrain == 2
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs two allowed CPUs",
+)
+def test_pretraining_thread_leaves_the_workers_cpu_and_comes_back():
+    from repro.serve.forking import _cpu_of, _off_cpus_of
+
+    allowed = os.sched_getaffinity(0)
+    with subprocess.Popen(
+        [sys.executable, "-c", "import time; print(flush=True); time.sleep(60)"],
+        stdout=subprocess.PIPE,
+    ) as sleeper:
+        try:
+            sleeper.stdout.readline()  # asleep from here on, so it stays put
+            cpu = _cpu_of(sleeper.pid)
+            with _off_cpus_of([sleeper.pid]):
+                inside = os.sched_getaffinity(0)
+        finally:
+            sleeper.kill()
+    assert cpu in allowed
+    assert inside == allowed - {cpu}
+    assert os.sched_getaffinity(0) == allowed
+
+
+def _registry_lookups(pool) -> dict[str, float]:
+    """The fleet ``repro_model_registry_lookups_total`` samples by outcome."""
+    status, _, data = _request(pool, "GET", "/v1/metrics")
+    assert status == 200
+    prefix = 'repro_model_registry_lookups_total{outcome="'
+    return {
+        line[len(prefix):].split('"')[0]: float(line.split()[-1])
+        for line in data.decode().splitlines() if line.startswith(prefix)
+    }
+
+
+class _SlowPretrainServer(ForkingServer):
+    """Pre-trains only once the workers have had time to boot."""
+
+    def _pretrain(self) -> None:
+        time.sleep(1.0)
+        super()._pretrain()
+
+
+def test_cold_start_trains_each_warm_model_once_in_the_parent(tiny_spec, serve_cache):
+    """Both workers disk-load the parent's BDT; a worker that warmed
+    before the parent committed it would count a ``trained`` lookup."""
+    from repro.pipeline import ArtifactCache
+    from repro.serve.registry import MODEL_STAGE
+
+    ArtifactCache(serve_cache).remove(stage=MODEL_STAGE)
+    with _SlowPretrainServer(tiny_spec, workers=2, cache_dir=serve_cache) as pool:
+        lookups = _registry_lookups(pool)
+    assert lookups.get("disk") == 2
+    assert "trained" not in lookups
+
+
+@pytest.fixture
+def pool_tempdir(tmp_path, monkeypatch):
+    """A test-local tempdir for the pool's scratch, and the live children
+    to compare against once a start has failed."""
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    return tmp_path, set(multiprocessing.active_children())
+
+
+def _assert_nothing_left(pool_tempdir) -> None:
+    root, children_before = pool_tempdir
+    assert not list(root.glob("repro-serve-pool-*"))
+    assert set(multiprocessing.active_children()) <= children_before
+
+
+def test_failed_start_on_an_unknown_warm_model_leaves_nothing(
+    tiny_spec, serve_cache, pool_tempdir
+):
+    server = ForkingServer(tiny_spec, workers=1, cache_dir=serve_cache, warm=("NOPE",))
+    with pytest.raises(ServeError, match="unknown model"):
+        server.start()
+    _assert_nothing_left(pool_tempdir)
+
+
+def test_failed_start_on_a_taken_port_leaves_nothing(tiny_spec, serve_cache, pool_tempdir):
+    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as taken:
+        taken.bind(("127.0.0.1", 0))
+        taken.listen()
+        server = ForkingServer(
+            tiny_spec, workers=1, port=taken.getsockname()[1], cache_dir=serve_cache
+        )
+        with pytest.raises(OSError):
+            server.start()
+    _assert_nothing_left(pool_tempdir)
+    # Started again once the port is free, the pool still heals.
+    with server:
+        victim_pid = server.stats()["pids"][0]
+        os.kill(victim_pid, signal.SIGKILL)
+        deadline = time.monotonic() + 30
+        while server.stats()["pids"][0] == victim_pid and time.monotonic() < deadline:
+            time.sleep(0.2)
+        assert server.stats()["pids"][0] != victim_pid
+        assert server.restarts == 1
+
+
+def test_worker_that_dies_during_startup_fails_the_start_at_once(
+    tiny_spec, serve_cache, pool_tempdir
+):
+    """A regular file as ``lifecycle_dir`` makes the worker's
+    ``ModelLifecycle`` mkdir raise; the parent never touches that path."""
+    not_a_dir = pool_tempdir[0] / "lifecycle"
+    not_a_dir.write_text("")
+    server = ForkingServer(
+        tiny_spec, workers=1, cache_dir=serve_cache, lifecycle_dir=not_a_dir
+    )
+    timeout = 60.0
+    t0 = time.monotonic()
+    with pytest.raises(ServeError, match=r"serve worker 0 died during startup \(exit 1\)"):
+        server.start(timeout=timeout)
+    assert time.monotonic() - t0 < timeout / 4
+    _assert_nothing_left(pool_tempdir)
